@@ -18,6 +18,7 @@
 
 use ninec::code::CodeTable;
 use ninec::encode::Encoded;
+use ninec_testdata::text;
 use ninec_testdata::trit::TritVec;
 use std::fmt;
 
@@ -49,22 +50,25 @@ impl TeFile {
         }
     }
 
-    /// Renders the file.
+    /// Renders the file; data lines hold 72 trits each.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str("# ninec compressed test stream\n");
-        out.push_str(&format!("k: {}\n", self.k));
-        out.push_str(&format!("source-len: {}\n", self.source_len));
-        out.push_str(&format!("pattern-len: {}\n", self.pattern_len));
         let lengths: Vec<String> = self.table.lengths().iter().map(u8::to_string).collect();
-        out.push_str(&format!("lengths: {}\n", lengths.join(" ")));
-        out.push_str("data:\n");
-        let text = self.stream.to_string();
-        for chunk in text.as_bytes().chunks(72) {
-            out.push_str(std::str::from_utf8(chunk).expect("ascii"));
-            out.push('\n');
+        let header = format!(
+            "# ninec compressed test stream\nk: {}\nsource-len: {}\npattern-len: {}\n\
+             lengths: {}\ndata:\n",
+            self.k,
+            self.source_len,
+            self.pattern_len,
+            lengths.join(" ")
+        );
+        let n = self.stream.len();
+        let mut out = Vec::with_capacity(header.len() + n + n.div_ceil(72));
+        out.extend_from_slice(header.as_bytes());
+        for line in self.stream.chunks(72) {
+            text::push_text(&mut out, line);
+            out.push(b'\n');
         }
-        out
+        String::from_utf8(out).expect("header and glyphs are ASCII")
     }
 
     /// Parses a `.te` file.
@@ -79,14 +83,14 @@ impl TeFile {
         let mut pattern_len = 0usize;
         let mut lengths: Option<[u8; 9]> = None;
         let mut lines = text.lines().enumerate();
-        let mut data_start = None;
+        let mut has_data = false;
         for (no, raw) in lines.by_ref() {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
             if line == "data:" {
-                data_start = Some(no + 1);
+                has_data = true;
                 break;
             }
             let (key, value) = line
@@ -111,19 +115,19 @@ impl TeFile {
                 _ => return Err(ParseTeError::UnknownKey { line: no + 1 }),
             }
         }
-        let data_line = data_start.ok_or(ParseTeError::MissingField { field: "data" })?;
+        if !has_data {
+            return Err(ParseTeError::MissingField { field: "data" });
+        }
         let mut stream = TritVec::new();
         for (no, raw) in lines {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let chunk: TritVec = line
-                .parse()
+            stream
+                .extend_from_text(line)
                 .map_err(|_| ParseTeError::Malformed { line: no + 1 })?;
-            stream.extend_from_tritvec(&chunk);
         }
-        let _ = data_line;
         let lengths = lengths.ok_or(ParseTeError::MissingField { field: "lengths" })?;
         let table = CodeTable::from_lengths(&lengths).map_err(|_| ParseTeError::BadLengths)?;
         Ok(Self {

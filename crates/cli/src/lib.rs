@@ -32,6 +32,7 @@ use ninec_decompressor::verilog::decoder_verilog;
 use ninec_testdata::cube::TestSet;
 use ninec_testdata::fill::{fill_trits, FillStrategy};
 use ninec_testdata::gen::{mintest_profile, SyntheticProfile};
+use ninec_testdata::io::ReadTestSetError;
 use ninec_testdata::stats::TestSetStats;
 use std::fmt;
 use std::fs;
@@ -884,12 +885,7 @@ fn verify_frame_bytes(
     let decoded = engine
         .decode_frame(frame_bytes)
         .map_err(|e| CliError::Failed(format!("{what}: --verify re-decode failed: {e}")))?;
-    let matches = decoded.len() == expect.len()
-        && (0..expect.len()).all(|i| match expect.get(i) {
-            Some(t) if t.is_care() => decoded.get(i) == Some(t),
-            _ => decoded.get(i).is_some(),
-        });
-    if !matches {
+    if !(decoded.len() == expect.len() && decoded.covers(expect)) {
         return Err(CliError::Failed(format!(
             "{what}: --verify mismatch: re-decode differs from the expected stream"
         )));
@@ -901,8 +897,7 @@ fn compress(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let opts = parse_opts(args)?;
     let input = one_input(&opts)?;
     let k = opts.k.unwrap_or(8);
-    let cubes = ninec_testdata::io::read_test_set_file(input)
-        .map_err(|e| CliError::Failed(format!("{input}: {e}")))?;
+    let cubes = read_cubes(input)?;
     let out_path = output(&opts)?;
     if wants_frame(out_path) {
         // Binary segment-frame container: encoded concurrently, decoded
@@ -925,7 +920,10 @@ fn compress(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         let bytes = engine
             .encode_frame(k, stream)
             .map_err(|e| CliError::Failed(e.to_string()))?;
-        fs::write(out_path, &bytes)?;
+        {
+            let _span = ninec_obs::span("cli_write");
+            fs::write(out_path, &bytes)?;
+        }
         if opts.verify {
             // The output exists; prove it round-trips before exiting 0.
             verify_frame_bytes(&engine, input, &bytes, stream)?;
@@ -976,9 +974,17 @@ fn compress(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     };
     let mut te = TeFile::from_encoded(&encoded, cubes.pattern_len());
     if let Some(strategy) = fill_strategy(&opts)? {
+        let _span = ninec_obs::span("cli_fill");
         te.stream = fill_trits(&te.stream, strategy);
     }
-    fs::write(out_path, te.to_text())?;
+    let text = {
+        let _span = ninec_obs::span("cli_format");
+        te.to_text()
+    };
+    {
+        let _span = ninec_obs::span("cli_write");
+        fs::write(out_path, text)?;
+    }
     writeln!(
         out,
         "{input}: {} -> {} bits (CR {:.2}%), leftover X {}{}",
@@ -993,6 +999,18 @@ fn compress(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         }
     )?;
     Ok(())
+}
+
+/// Reads and parses a cube file under the `cli_read` and `cli_parse`
+/// spans. Both failures are [`CliError::Failed`], as they always were.
+fn read_cubes(input: &str) -> Result<TestSet, CliError> {
+    let text = {
+        let _span = ninec_obs::span("cli_read");
+        fs::read_to_string(input)
+    }
+    .map_err(|e| CliError::Failed(format!("{input}: {}", ReadTestSetError::Io(e))))?;
+    let _span = ninec_obs::span("cli_parse");
+    ninec_testdata::io::parse_test_set(&text).map_err(|e| CliError::Failed(format!("{input}: {e}")))
 }
 
 /// Formats a [`SalvageReport`] damage map for the stderr report.
@@ -1039,7 +1057,10 @@ fn decompress(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         })?;
         return write_decompressed(&opts, out, "<stdin>", decoded, 0, None, 0);
     }
-    let bytes = fs::read(input)?;
+    let bytes = {
+        let _span = ninec_obs::span("cli_read");
+        fs::read(input)?
+    };
     let (decoded, te_pattern_len) = if frame::is_frame(&bytes) {
         // Binary 9CSF frame: self-describing (K, table, segment bounds),
         // decoded in parallel by the session's sharded engine. Damaged
@@ -1106,9 +1127,12 @@ fn decompress(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 "--salvage applies to binary 9CSF frames only".into(),
             ));
         }
-        let text = String::from_utf8(bytes)
-            .map_err(|_| CliError::Failed(format!("{input}: not a .te or 9CSF file")))?;
-        let te = TeFile::parse(&text).map_err(|e| CliError::Failed(format!("{input}: {e}")))?;
+        let te = {
+            let _span = ninec_obs::span("cli_parse");
+            let text = String::from_utf8(bytes)
+                .map_err(|_| CliError::Failed(format!("{input}: not a .te or 9CSF file")))?;
+            TeFile::parse(&text).map_err(|e| CliError::Failed(format!("{input}: {e}")))?
+        };
         let decoded = te
             .decode()
             .map_err(|e| CliError::Failed(format!("{input}: {e}")))?;
@@ -1131,6 +1155,7 @@ fn write_decompressed(
     repaired: usize,
 ) -> Result<(), CliError> {
     if let Some(strategy) = fill_strategy(opts)? {
+        let _span = ninec_obs::span("cli_fill");
         decoded = fill_trits(&decoded, strategy);
     }
     let pattern_len = if te_pattern_len > 0 {
@@ -1145,7 +1170,15 @@ fn write_decompressed(
         )));
     }
     let set = TestSet::from_stream(pattern_len, decoded);
-    ninec_testdata::io::write_test_set_file(output(opts)?, &set)?;
+    let out_path = output(opts)?;
+    let text = {
+        let _span = ninec_obs::span("cli_format");
+        ninec_testdata::io::format_test_set(&set)
+    };
+    {
+        let _span = ninec_obs::span("cli_write");
+        fs::write(out_path, text)?;
+    }
     writeln!(
         out,
         "{input}: decoded {} patterns x {} cells{}{}",

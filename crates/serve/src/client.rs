@@ -222,17 +222,24 @@ impl Client {
     /// [`ClientError::Io`]/[`ClientError::Protocol`] on transport
     /// problems — every in-protocol refusal comes back as a [`Response`].
     pub fn roundtrip(&mut self, op: Op, body: &[u8]) -> Result<Response, ClientError> {
+        self.roundtrip_parts(op, &[body])
+    }
+
+    /// [`Client::roundtrip`] with the body given as `parts`, sent in
+    /// order without being joined into one buffer.
+    fn roundtrip_parts(&mut self, op: Op, parts: &[&[u8]]) -> Result<Response, ClientError> {
         if self.negotiated && op != Op::Hello {
             let ms = self
                 .deadline
                 .map(|d| u32::try_from(d.as_millis()).unwrap_or(u32::MAX))
-                .unwrap_or(0);
-            let mut framed = Vec::with_capacity(4 + body.len());
-            framed.extend_from_slice(&ms.to_le_bytes());
-            framed.extend_from_slice(body);
-            wire::write_request(&mut self.stream, op, &framed)?;
+                .unwrap_or(0)
+                .to_le_bytes();
+            let mut framed = Vec::with_capacity(parts.len() + 1);
+            framed.push(&ms[..]);
+            framed.extend_from_slice(parts);
+            wire::write_request_parts(&mut self.stream, op, &framed)?;
         } else {
-            wire::write_request(&mut self.stream, op, body)?;
+            wire::write_request_parts(&mut self.stream, op, parts)?;
         }
         match wire::read_response(&mut self.stream, self.max_message_bytes)? {
             Some(response) => Ok(response),
@@ -284,10 +291,7 @@ impl Client {
     ///
     /// [`ClientError::Server`] on refusals and codec failures.
     pub fn compress(&mut self, k: u16, trits: &str) -> Result<Vec<u8>, ClientError> {
-        let mut body = Vec::with_capacity(2 + trits.len());
-        body.extend_from_slice(&k.to_le_bytes());
-        body.extend_from_slice(trits.as_bytes());
-        let response = self.roundtrip(Op::Compress, &body)?;
+        let response = self.roundtrip_parts(Op::Compress, &[&k.to_le_bytes(), trits.as_bytes()])?;
         Self::expect_payload(response).map(|r| r.body)
     }
 
@@ -302,10 +306,8 @@ impl Client {
         frame: &[u8],
         policy: ninec::Policy,
     ) -> Result<DecodeReply, ClientError> {
-        let mut body = Vec::with_capacity(1 + frame.len());
-        body.push(wire::policy_to_byte(policy));
-        body.extend_from_slice(frame);
-        let response = self.roundtrip(Op::Decode, &body)?;
+        let response =
+            self.roundtrip_parts(Op::Decode, &[&[wire::policy_to_byte(policy)], frame])?;
         Self::parse_decode_reply(response)
     }
 
@@ -365,7 +367,10 @@ impl Client {
             response.body[3],
             response.body[4],
         ]);
-        let trits = String::from_utf8_lossy(&response.body[5..]).into_owned();
+        let mut body = response.body;
+        body.drain(..5);
+        let trits = String::from_utf8(body)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
         Ok(DecodeReply {
             rung,
             damaged,

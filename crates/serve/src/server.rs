@@ -38,6 +38,7 @@ use crate::wire::{self, Op, Status};
 use crate::{http, ServeConfig};
 use ninec::engine::{active_jobs, Archive, ArchiveError};
 use ninec::{CancelToken, SharedEngine};
+use ninec_testdata::text;
 use ninec_testdata::trit::TritVec;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -672,7 +673,11 @@ fn archive_range(shared: &Shared, body: &[u8]) -> (Status, Vec<u8>) {
         );
     };
     match archive.decode_range(frame as usize, start, len) {
-        Ok(trits) => (Status::Ok, trits.to_string().into_bytes()),
+        Ok(trits) => {
+            let mut body = Vec::new();
+            text::push_text(&mut body, trits.as_slice());
+            (Status::Ok, body)
+        }
         Err(e @ (ArchiveError::FrameOutOfRange { .. } | ArchiveError::RangeOutOfBounds { .. })) => {
             (Status::BadRequest, e.to_string().into_bytes())
         }
@@ -738,11 +743,10 @@ fn decode(
                 .map(|report| report.damaged.len())
                 .unwrap_or(0);
             let damaged = u32::try_from(damaged).unwrap_or(u32::MAX);
-            let text = outcome.trits.to_string();
-            let mut body = Vec::with_capacity(5 + text.len());
+            let mut body = Vec::with_capacity(5 + outcome.trits.len());
             body.push(wire::rung_to_byte(outcome.rung));
             body.extend_from_slice(&damaged.to_le_bytes());
-            body.extend_from_slice(text.as_bytes());
+            text::push_text(&mut body, outcome.trits.as_slice());
             let status = if outcome.is_lossless() {
                 Status::Ok
             } else {

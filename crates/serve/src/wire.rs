@@ -364,7 +364,22 @@ fn write_message(w: &mut impl Write, parts: &[&[u8]]) -> std::io::Result<()> {
 /// Propagates socket errors; fails without writing when `body` exceeds
 /// the `u32` length prefix.
 pub fn write_request(w: &mut impl Write, op: Op, body: &[u8]) -> std::io::Result<()> {
-    write_message(w, &[&[op as u8], body])
+    write_request_parts(w, op, &[body])
+}
+
+/// Writes one request frame whose body is `parts` concatenated, without
+/// joining them into one buffer first (a large text body is sent from
+/// where it lies).
+///
+/// # Errors
+///
+/// As [`write_request`].
+pub fn write_request_parts(w: &mut impl Write, op: Op, parts: &[&[u8]]) -> std::io::Result<()> {
+    let op = [op as u8];
+    let mut all = Vec::with_capacity(parts.len() + 1);
+    all.push(&op[..]);
+    all.extend_from_slice(parts);
+    write_message(w, &all)
 }
 
 /// Reads one request frame. `Ok(None)` means the peer closed cleanly
@@ -375,11 +390,13 @@ pub fn write_request(w: &mut impl Write, op: Op, body: &[u8]) -> std::io::Result
 /// [`WireError`] on socket failure, a torn/oversized/empty frame, or an
 /// unknown opcode.
 pub fn read_request(r: &mut impl Read, max: usize) -> Result<Option<(Op, Vec<u8>)>, WireError> {
-    let Some(payload) = read_message(r, max)? else {
+    let Some(mut payload) = read_message(r, max)? else {
         return Ok(None);
     };
     let op = Op::from_byte(payload[0]).ok_or(WireError::UnknownOp(payload[0]))?;
-    Ok(Some((op, payload[1..].to_vec())))
+    // The body moves down in place: a text body is not copied.
+    payload.drain(..1);
+    Ok(Some((op, payload)))
 }
 
 /// Writes one response frame.
@@ -404,20 +421,17 @@ pub fn write_response(
 /// [`WireError`] on socket failure, a torn/oversized/empty frame, or an
 /// unknown status byte.
 pub fn read_response(r: &mut impl Read, max: usize) -> Result<Option<Response>, WireError> {
-    let Some(payload) = read_message(r, max)? else {
+    let Some(mut payload) = read_message(r, max)? else {
         return Ok(None);
     };
     let status = Status::from_byte(payload[0]).ok_or(WireError::UnknownStatus(payload[0]))?;
-    let flags = if payload.len() > 1 { payload[1] } else { 0 };
-    let body = if payload.len() > 2 {
-        payload[2..].to_vec()
-    } else {
-        Vec::new()
-    };
+    let flags = payload.get(1).copied().unwrap_or(0);
+    // The body moves down in place: a text body is not copied.
+    payload.drain(..payload.len().min(2));
     Ok(Some(Response {
         status,
         flags,
-        body,
+        body: payload,
     }))
 }
 

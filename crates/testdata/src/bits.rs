@@ -59,6 +59,26 @@ impl BitVec {
         v
     }
 
+    /// Builds a vector of `len` bits from packed LSB-first words (as
+    /// [`BitVec::words`] exposes them); bits at positions `>= len` are
+    /// cleared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words.len() != len.div_ceil(64)`.
+    #[must_use]
+    pub(crate) fn from_words(words: Vec<u64>, len: usize) -> Self {
+        assert_eq!(
+            words.len(),
+            len.div_ceil(64),
+            "{len} bits need {} words",
+            len.div_ceil(64)
+        );
+        let mut v = Self { words, len };
+        v.mask_tail();
+        v
+    }
+
     /// Parses a bit vector from a string of `'0'` and `'1'` characters.
     ///
     /// # Errors

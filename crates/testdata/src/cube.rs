@@ -4,6 +4,7 @@
 //! ordered set of cubes a core vendor ships (the paper's `T_D`). All cubes
 //! in a set share the scan length (number of scan cells).
 
+use crate::slice::Chunks;
 use crate::trit::{ParseTritError, TritVec};
 use std::fmt;
 
@@ -123,6 +124,11 @@ impl TestSet {
         }
     }
 
+    /// Iterates over zero-copy views of the cubes, in order.
+    pub(crate) fn pattern_slices(&self) -> Chunks<'_> {
+        self.data.chunks(self.pattern_len)
+    }
+
     /// The whole set as one flat symbol stream, pattern after pattern —
     /// the order in which a single scan chain consumes it.
     pub fn as_stream(&self) -> &TritVec {
@@ -177,8 +183,9 @@ impl fmt::Debug for TestSet {
 
 impl fmt::Display for TestSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for p in self.patterns() {
-            writeln!(f, "{p}")?;
+        for p in self.pattern_slices() {
+            fmt::Display::fmt(&p, f)?;
+            f.write_str("\n")?;
         }
         Ok(())
     }

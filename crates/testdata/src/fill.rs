@@ -6,8 +6,9 @@
 //! scan-in power. This module implements the fill policies discussed in the
 //! paper's Sections I and IV.
 
+use crate::bits::BitVec;
 use crate::cube::TestSet;
-use crate::trit::{Trit, TritVec};
+use crate::trit::TritVec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -35,6 +36,12 @@ pub enum FillStrategy {
 /// Fills every `X` in `trits` according to `strategy`, returning a fully
 /// specified vector. Care bits are never altered.
 ///
+/// Every strategy works on the packed planes a word at a time: `Zero`
+/// and `One` are pure word operations, `MinTransition` walks the care
+/// runs of each word with `trailing_zeros`, and `Random` draws one
+/// `gen_bool(0.5)` per `X` in index order (the same draws, in the same
+/// order, as a symbol-by-symbol fill).
+///
 /// # Examples
 ///
 /// ```
@@ -47,45 +54,86 @@ pub enum FillStrategy {
 /// # Ok::<(), ninec_testdata::trit::ParseTritError>(())
 /// ```
 pub fn fill_trits(trits: &TritVec, strategy: FillStrategy) -> TritVec {
-    match strategy {
-        FillStrategy::Zero => fill_const(trits, Trit::Zero),
-        FillStrategy::One => fill_const(trits, Trit::One),
+    let len = trits.len();
+    let view = trits.as_slice();
+    let (care, value) = (view.care_words(), view.value_words());
+    // Bits past `len` in the last word are X by the planes' zero tail;
+    // `BitVec::from_words` clears whatever a fill put there.
+    let filled: Vec<u64> = match strategy {
+        // By the plane invariant an X already has value 0.
+        FillStrategy::Zero => value.to_vec(),
+        FillStrategy::One => care.iter().zip(value).map(|(&c, &v)| v | !c).collect(),
         FillStrategy::Random { seed } => {
             let mut rng = StdRng::seed_from_u64(seed);
-            trits
-                .iter()
-                .map(|t| {
-                    if t.is_x() {
-                        Trit::from(rng.gen_bool(0.5))
-                    } else {
-                        t
+            care.iter()
+                .zip(value)
+                .enumerate()
+                .map(|(w, (&c, &v))| {
+                    let mut xs = !c & live_mask(w, len);
+                    let mut out = v;
+                    while xs != 0 {
+                        if rng.gen_bool(0.5) {
+                            out |= xs & xs.wrapping_neg();
+                        }
+                        xs &= xs - 1;
                     }
+                    out
                 })
                 .collect()
         }
-        FillStrategy::MinTransition => fill_min_transition(trits),
+        FillStrategy::MinTransition => fill_min_transition(care, value),
+    };
+    TritVec::from_planes(BitVec::repeat(true, len), BitVec::from_words(filled, len))
+}
+
+/// The bits of word `w` that hold one of the first `len` symbols.
+fn live_mask(w: usize, len: usize) -> u64 {
+    match len.saturating_sub(w * 64) {
+        n if n >= 64 => u64::MAX,
+        n => (1u64 << n) - 1,
     }
 }
 
-fn fill_const(trits: &TritVec, fill: Trit) -> TritVec {
-    trits
-        .iter()
-        .map(|t| if t.is_x() { fill } else { t })
-        .collect()
+/// Bits `[from, to)` of a word, `from <= to <= 64`.
+fn bit_range(from: u32, to: u32) -> u64 {
+    if from >= to {
+        0
+    } else {
+        u64::MAX >> (64 - (to - from)) << from
+    }
 }
 
-fn fill_min_transition(trits: &TritVec) -> TritVec {
-    // First pass: find the first care bit so a leading X run can repeat it.
-    let first_care = trits.iter().find(|t| t.is_care()).unwrap_or(Trit::Zero);
-    let mut last = first_care;
-    trits
+/// Minimum-transition fill of the value plane: each X run takes the
+/// value of the care bit before it, or of the first care bit when it
+/// leads (0 when there is none).
+fn fill_min_transition(care: &[u64], value: &[u64]) -> Vec<u64> {
+    let mut last = care
         .iter()
-        .map(|t| {
-            if t.is_care() {
-                last = t;
-                t
-            } else {
-                last
+        .zip(value)
+        .find(|(&c, _)| c != 0)
+        .is_some_and(|(&c, &v)| v >> c.trailing_zeros() & 1 == 1);
+    care.iter()
+        .zip(value)
+        .map(|(&c, &v)| {
+            let mut out = 0u64;
+            let mut pos = 0u32;
+            loop {
+                // X run [pos, start) repeats `last`.
+                let start = (c & u64::MAX << pos).trailing_zeros();
+                if last {
+                    out |= bit_range(pos, start);
+                }
+                if start == 64 {
+                    break out;
+                }
+                // Care run [start, end) keeps its values.
+                let end = (!c & u64::MAX << start).trailing_zeros();
+                out |= v & bit_range(start, end);
+                last = v >> (end - 1) & 1 == 1;
+                if end == 64 {
+                    break out;
+                }
+                pos = end;
             }
         })
         .collect()

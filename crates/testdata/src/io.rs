@@ -6,13 +6,17 @@
 //! test sets can be dropped in when available.
 
 use crate::cube::TestSet;
+use crate::text;
 use crate::trit::TritVec;
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 
 /// Parses a test set from cube-file text.
+///
+/// Each pattern line is appended straight into the set's packed planes
+/// by the word-level parser in [`crate::text`].
 ///
 /// # Errors
 ///
@@ -31,40 +35,57 @@ use std::path::Path;
 /// # Ok::<(), ninec_testdata::io::ReadTestSetError>(())
 /// ```
 pub fn parse_test_set(text: &str) -> Result<TestSet, ReadTestSetError> {
-    let mut set: Option<TestSet> = None;
+    // One symbol per byte at most: a single allocation per plane.
+    let mut data = TritVec::with_capacity(text.len());
+    let mut pattern_len = 0;
     for (line_no, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let cube: TritVec = line.parse().map_err(|source| ReadTestSetError::Parse {
-            line: line_no + 1,
-            source,
-        })?;
-        let set = set.get_or_insert_with(|| TestSet::new(cube.len().max(1)));
-        set.push_pattern(&cube)
-            .map_err(|e| ReadTestSetError::Length {
+        let before = data.len();
+        data.extend_from_text(line)
+            .map_err(|source| ReadTestSetError::Parse {
                 line: line_no + 1,
-                expected: e.expected,
-                found: e.found,
+                source,
             })?;
+        let found = data.len() - before;
+        if pattern_len == 0 {
+            pattern_len = found;
+        } else if found != pattern_len {
+            return Err(ReadTestSetError::Length {
+                line: line_no + 1,
+                expected: pattern_len,
+                found,
+            });
+        }
     }
-    set.ok_or(ReadTestSetError::Empty)
+    if pattern_len == 0 {
+        return Err(ReadTestSetError::Empty);
+    }
+    Ok(TestSet::from_stream(pattern_len, data))
 }
 
-/// Renders a test set as cube-file text (one pattern per line).
-pub fn format_test_set(set: &TestSet) -> String {
-    let mut out = String::with_capacity(set.total_bits() + set.num_patterns());
-    out.push_str(&format!(
+/// The cube file's first line: `# <n> patterns x <len> cells`.
+fn header(set: &TestSet) -> String {
+    format!(
         "# {} patterns x {} cells\n",
         set.num_patterns(),
         set.pattern_len()
-    ));
-    for p in set.patterns() {
-        out.push_str(&p.to_string());
-        out.push('\n');
+    )
+}
+
+/// Renders a test set as cube-file text (one pattern per line) into one
+/// pre-sized buffer.
+pub fn format_test_set(set: &TestSet) -> String {
+    let header = header(set);
+    let mut out = Vec::with_capacity(header.len() + set.total_bits() + set.num_patterns());
+    out.extend_from_slice(header.as_bytes());
+    for p in set.pattern_slices() {
+        text::push_text(&mut out, p);
+        out.push(b'\n');
     }
-    out
+    String::from_utf8(out).expect("header and glyphs are ASCII")
 }
 
 /// Reads a cube file from disk.
@@ -78,13 +99,21 @@ pub fn read_test_set_file<P: AsRef<Path>>(path: P) -> Result<TestSet, ReadTestSe
     parse_test_set(&text)
 }
 
-/// Writes a cube file to disk.
+/// Writes a cube file to disk (the bytes of [`format_test_set`]),
+/// streaming it through a buffered writer instead of building the whole
+/// text first.
 ///
 /// # Errors
 ///
 /// Returns any underlying I/O error.
 pub fn write_test_set_file<P: AsRef<Path>>(path: P, set: &TestSet) -> io::Result<()> {
-    fs::write(path, format_test_set(set))
+    let mut w = io::BufWriter::new(fs::File::create(path)?);
+    w.write_all(header(set).as_bytes())?;
+    for p in set.pattern_slices() {
+        text::write_chunks(p, |s| w.write_all(s.as_bytes()))?;
+        w.write_all(b"\n")?;
+    }
+    w.flush()
 }
 
 /// Error returned when reading a cube file fails.

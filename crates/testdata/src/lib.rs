@@ -19,6 +19,8 @@
 //!   minimum-transition);
 //! - [`power`] — weighted-transitions scan power metric;
 //! - [`stats`] — descriptive statistics;
+//! - [`text`] — the word-level `0`/`1`/`X` text codec behind every
+//!   `Display`/`FromStr` and the cube-file reader and writers;
 //! - [`io`] — cube-file text serialization.
 //!
 //! # Example
@@ -48,6 +50,7 @@ pub mod power;
 mod serde_impls;
 pub mod slice;
 pub mod stats;
+pub mod text;
 pub mod trit;
 pub mod words;
 

@@ -234,10 +234,7 @@ impl<'a> TritSlice<'a> {
 
 impl fmt::Display for TritSlice<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for t in self.iter() {
-            write!(f, "{t}")?;
-        }
-        Ok(())
+        crate::text::write_chunks(*self, |s| f.write_str(s))
     }
 }
 

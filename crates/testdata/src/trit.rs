@@ -92,7 +92,7 @@ impl TryFrom<char> for Trit {
 
 impl fmt::Display for Trit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.to_char())
+        fmt::Write::write_char(f, self.to_char())
     }
 }
 
@@ -349,9 +349,10 @@ impl TritVec {
             other.len(),
             "compatibility requires equal lengths"
         );
-        self.iter()
-            .zip(other.iter())
-            .all(|(a, b)| a.compatible_with(b))
+        // Incompatible: both specified with different values. Bits past
+        // `len` are zero in every plane, so whole words compare safely.
+        self.plane_words(other)
+            .all(|(sc, sv, oc, ov)| sc & oc & (sv ^ ov) == 0)
     }
 
     /// `true` if `self` *covers* `other`: wherever `other` has a care bit,
@@ -362,9 +363,23 @@ impl TritVec {
     /// Panics if the lengths differ.
     pub fn covers(&self, other: &TritVec) -> bool {
         assert_eq!(self.len(), other.len(), "covering requires equal lengths");
-        self.iter()
-            .zip(other.iter())
-            .all(|(a, b)| b.is_x() || a == b)
+        // Every care bit of `other` must be a care bit of `self` with the
+        // same value (`value ⊆ care` in both).
+        self.plane_words(other)
+            .all(|(sc, sv, oc, ov)| oc & !sc == 0 && (sv ^ ov) & oc == 0)
+    }
+
+    /// Word-wise `(self.care, self.value, other.care, other.value)`.
+    fn plane_words<'a>(
+        &'a self,
+        other: &'a TritVec,
+    ) -> impl Iterator<Item = (u64, u64, u64, u64)> + 'a {
+        self.care
+            .words()
+            .iter()
+            .zip(self.value.words())
+            .zip(other.care.words().iter().zip(other.value.words()))
+            .map(|((&sc, &sv), (&oc, &ov))| (sc, sv, oc, ov))
     }
 
     /// Converts a fully specified vector to a [`BitVec`].
@@ -385,14 +400,45 @@ impl TritVec {
     fn value_plane_masked(&self) -> BitVec {
         self.iter().map(|t| t == Trit::One).collect()
     }
+
+    /// Builds a vector from equal-length planes that satisfy the plane
+    /// invariant.
+    pub(crate) fn from_planes(care: BitVec, value: BitVec) -> Self {
+        debug_assert_eq!(care.len(), value.len(), "planes stay in sync");
+        Self { care, value }
+    }
+
+    /// Appends the trits spelled by `s` (`0`, `1`, `X`/`x`/`-`), 64
+    /// characters per word operation; see [`crate::text`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseTritError`] naming the first invalid character;
+    /// the vector is then left as it was.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ninec_testdata::trit::TritVec;
+    ///
+    /// let mut tv: TritVec = "01".parse()?;
+    /// tv.extend_from_text("X-1")?;
+    /// assert_eq!(tv.to_string(), "01XX1");
+    /// assert_eq!(tv.extend_from_text("1?").unwrap_err().found, '?');
+    /// assert_eq!(tv.len(), 5);
+    /// # Ok::<(), ninec_testdata::trit::ParseTritError>(())
+    /// ```
+    pub fn extend_from_text(&mut self, s: &str) -> Result<(), ParseTritError> {
+        let len = self.len();
+        crate::text::parse_into(&mut self.care, &mut self.value, s).inspect_err(|_| {
+            self.truncate(len);
+        })
+    }
 }
 
 impl fmt::Display for TritVec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for t in self.iter() {
-            write!(f, "{t}")?;
-        }
-        Ok(())
+        self.as_slice().fmt(f)
     }
 }
 
@@ -406,10 +452,8 @@ impl std::str::FromStr for TritVec {
     type Err = ParseTritError;
 
     fn from_str(s: &str) -> Result<Self, ParseTritError> {
-        let mut v = TritVec::with_capacity(s.len());
-        for c in s.chars() {
-            v.push(Trit::try_from(c)?);
-        }
+        let mut v = TritVec::new();
+        v.extend_from_text(s)?;
         Ok(v)
     }
 }
