@@ -15,6 +15,7 @@
 //! `lengths` records the (possibly frequency-reassigned) codeword lengths
 //! so the matching decoder can be reconstructed; `data` lines may contain
 //! `X` when the leftover don't-cares were kept for fill-at-the-ATE flows.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use ninec::code::CodeTable;
 use ninec::encode::Encoded;
@@ -68,7 +69,10 @@ impl TeFile {
             text::push_text(&mut out, line);
             out.push(b'\n');
         }
-        String::from_utf8(out).expect("header and glyphs are ASCII")
+        // The header and the trit glyphs are ASCII, so the lossy branch
+        // never runs; it keeps the conversion total.
+        String::from_utf8(out)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
     }
 
     /// Parses a `.te` file.

@@ -93,6 +93,8 @@
 //! every byte range as intact or damaged — the engine's salvage decode
 //! builds on it to recover every intact segment from a corrupted frame.
 
+use crate::stream::BitSink;
+use ninec_testdata::slice::TritSlice;
 use ninec_testdata::trit::{Trit, TritVec};
 use std::fmt;
 use std::ops::Range;
@@ -386,9 +388,12 @@ impl DamageReason {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) lookup table.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) slicing
+/// tables: `CRC_TABLES[0]` is the classic byte-at-a-time table, and
+/// `CRC_TABLES[j]` advances a byte's contribution through `j` more zero
+/// bytes, so `n` table lookups fold `n` input bytes at once.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -401,20 +406,120 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut j = 1;
+    while j < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[j - 1][i];
+            tables[j][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        j += 1;
+    }
+    tables
 };
+
+/// Folds one little-endian word into a CRC through `tables[base..base + 8]`
+/// (the word's first byte goes through the highest table).
+#[inline]
+fn crc_fold_word(w: u64, base: usize) -> u32 {
+    let t = &CRC_TABLES;
+    t[base + 7][(w & 0xFF) as usize]
+        ^ t[base + 6][(w >> 8 & 0xFF) as usize]
+        ^ t[base + 5][(w >> 16 & 0xFF) as usize]
+        ^ t[base + 4][(w >> 24 & 0xFF) as usize]
+        ^ t[base + 3][(w >> 32 & 0xFF) as usize]
+        ^ t[base + 2][(w >> 40 & 0xFF) as usize]
+        ^ t[base + 1][(w >> 48 & 0xFF) as usize]
+        ^ t[base][(w >> 56) as usize]
+}
+
+/// Reads the first 8 bytes of `c` as a little-endian word.
+#[inline]
+pub(crate) fn le_word(c: &[u8]) -> u64 {
+    u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]])
+}
+
+/// Incremental CRC-32 (IEEE) by table slicing: 16 bytes per step
+/// (slice-by-8 on two words, so one CRC dependency covers 16 bytes),
+/// then one 8-byte slice-by-8 step and the last `< 8` bytes one at a
+/// time — short inputs cost no more than the bytewise loop. Splitting
+/// the input across [`update`](Crc32::update) calls never changes the
+/// result.
+///
+/// # Examples
+///
+/// ```
+/// use ninec::engine::frame::{crc32, Crc32};
+///
+/// let mut crc = Crc32::new();
+/// crc.update(b"1234");
+/// crc.update(b"56789");
+/// assert_eq!(crc.finish(), 0xCBF4_3926);
+/// assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Crc32 {
+    state: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Crc32 {
+    /// A fresh CRC over zero bytes.
+    #[must_use]
+    pub const fn new() -> Self {
+        Self { state: 0xFFFF_FFFF }
+    }
+
+    /// Folds `bytes` into the running CRC.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let mut crc = self.state;
+        let mut pairs = bytes.chunks_exact(16);
+        for c in &mut pairs {
+            crc = crc_fold_word(le_word(&c[..8]) ^ u64::from(crc), 8)
+                ^ crc_fold_word(le_word(&c[8..]), 0);
+        }
+        let mut rest = pairs.remainder();
+        if rest.len() >= 8 {
+            crc = crc_fold_word(le_word(rest) ^ u64::from(crc), 0);
+            rest = &rest[8..];
+        }
+        for &b in rest {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        self.state = crc;
+    }
+
+    /// The CRC-32 of every byte folded in so far.
+    #[must_use]
+    pub fn finish(&self) -> u32 {
+        !self.state
+    }
+}
 
 /// CRC-32 (IEEE) of `bytes`.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
+}
+
+/// CRC-32 of a 12-byte segment header followed by its payload — the
+/// value every data and parity segment stores in its last header field.
+fn segment_crc(header: &[u8], payload: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(header);
+    crc.update(payload);
+    crc.finish()
 }
 
 /// One parsed (CRC-verified) segment, borrowing its payload bytes.
@@ -565,12 +670,8 @@ pub fn write_parity_segment(
     header[2..6].copy_from_slice(&group32.to_le_bytes());
     header[6..8].copy_from_slice(&pindex16.to_le_bytes());
     header[8..12].copy_from_slice(&len32.to_le_bytes());
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in header.iter().chain(shard.iter()) {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
     out.extend_from_slice(&header);
-    out.extend_from_slice(&(!crc).to_le_bytes());
+    out.extend_from_slice(&segment_crc(&header, shard).to_le_bytes());
     out.extend_from_slice(shard);
     Ok(())
 }
@@ -620,11 +721,7 @@ pub(crate) fn parity_at<'a>(
         .ok_or(FrameError::Truncated {
             offset: bytes.len(),
         })?;
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in header[..12].iter().chain(payload.iter()) {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    if !crc != crc_stored {
+    if segment_crc(&header[..12], payload) != crc_stored {
         return Err(FrameError::BadCrc { segment });
     }
     Ok((
@@ -652,7 +749,160 @@ pub fn pack_payload(payload: &TritVec) -> Vec<u8> {
     bytes
 }
 
-/// Appends one segment (header + packed payload) to `out`.
+/// The 2-bit wire code of a trit (`00` = 0, `01` = 1, `10` = X).
+#[inline]
+fn trit_code(t: Trit) -> u64 {
+    match t {
+        Trit::Zero => 0b00,
+        Trit::One => 0b01,
+        Trit::X => 0b10,
+    }
+}
+
+/// Spreads the low 32 bits of `x` onto the even bit positions of a word
+/// (bit `i` moves to bit `2i`): the inverse of the decode kernel's
+/// even/odd unzip.
+#[inline]
+pub(crate) fn spread_even(x: u64) -> u64 {
+    let mut x = x & 0xFFFF_FFFF;
+    x = (x | x << 16) & 0x0000_FFFF_0000_FFFF;
+    x = (x | x << 8) & 0x00FF_00FF_00FF_00FF;
+    x = (x | x << 4) & 0x0F0F_0F0F_0F0F_0F0F;
+    x = (x | x << 2) & 0x3333_3333_3333_3333;
+    (x | x << 1) & 0x5555_5555_5555_5555
+}
+
+/// A [`BitSink`] that writes the encoded stream straight into the packed
+/// 2-bit payload format — byte-identical to [`pack_payload`] of the same
+/// trits, without building the intermediate [`TritVec`]. Codes collect 32
+/// trits at a time in a `u64` accumulator; runs and verbatim slices go in
+/// 32 trits per step.
+///
+/// # Examples
+///
+/// ```
+/// use ninec::engine::frame::{pack_payload, PackedSink};
+/// use ninec::encode::Encoder;
+/// use ninec_testdata::trit::TritVec;
+///
+/// let src: TritVec = "0X0X01X001X0101X".parse()?;
+/// let enc = Encoder::new(8)?;
+/// let mut sink = PackedSink::default();
+/// let mut se = enc.stream_encoder(&mut sink);
+/// se.feed(src.as_slice());
+/// se.finish();
+/// let (bytes, trits) = sink.finish();
+/// let oracle = enc.encode_stream(&src);
+/// assert_eq!(trits, oracle.stream().len());
+/// assert_eq!(bytes, pack_payload(oracle.stream()));
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct PackedSink {
+    bytes: Vec<u8>,
+    /// Codes not yet flushed: trit `j` of the pending group at bits `2j`.
+    acc: u64,
+    /// Trits pending in `acc` (`0..32`).
+    fill: usize,
+}
+
+impl PackedSink {
+    /// An empty sink with room for `trits` trits.
+    #[must_use]
+    pub fn with_capacity(trits: usize) -> Self {
+        Self {
+            bytes: Vec::with_capacity(trits.div_ceil(4) + 8),
+            acc: 0,
+            fill: 0,
+        }
+    }
+
+    /// Trits written so far.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.bytes.len() * 4 + self.fill
+    }
+
+    /// `true` when nothing has been written.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Flushes the accumulator and returns the packed bytes with the trit
+    /// count: `bytes.len() == trits.div_ceil(4)`, pad bits zero.
+    #[must_use]
+    pub fn finish(mut self) -> (Vec<u8>, usize) {
+        let trits = self.len();
+        let tail = self.acc.to_le_bytes();
+        self.bytes.extend_from_slice(&tail[..self.fill.div_ceil(4)]);
+        (self.bytes, trits)
+    }
+
+    /// Appends `n <= 32` trits given as codes (trit `j` at bits `2j`,
+    /// nothing above bit `2n`).
+    #[inline]
+    fn push_codes(&mut self, codes: u64, n: usize) {
+        debug_assert!(n <= 32 && (n == 32 || codes >> (2 * n) == 0));
+        self.acc |= codes << (2 * self.fill);
+        let fill = self.fill + n;
+        if fill >= 32 {
+            self.bytes.extend_from_slice(&self.acc.to_le_bytes());
+            let used = 32 - self.fill;
+            self.acc = if used == 32 { 0 } else { codes >> (2 * used) };
+            self.fill = fill - 32;
+        } else {
+            self.fill = fill;
+        }
+    }
+}
+
+/// Mask of the low `2n` bits (`n <= 32` trits' worth of codes).
+#[inline]
+fn code_mask(n: usize) -> u64 {
+    if n >= 32 {
+        u64::MAX
+    } else {
+        (1u64 << (2 * n)) - 1
+    }
+}
+
+impl BitSink for PackedSink {
+    #[inline]
+    fn push_trit(&mut self, t: Trit) {
+        self.push_codes(trit_code(t), 1);
+    }
+
+    #[inline]
+    fn push_bit(&mut self, bit: bool) {
+        self.push_codes(u64::from(bit), 1);
+    }
+
+    fn push_run(&mut self, t: Trit, n: usize) {
+        let pattern = trit_code(t) * 0x5555_5555_5555_5555;
+        let mut left = n;
+        while left > 0 {
+            let take = left.min(32);
+            self.push_codes(pattern & code_mask(take), take);
+            left -= take;
+        }
+    }
+
+    fn push_slice(&mut self, slice: TritSlice<'_>) {
+        let mut from = 0;
+        while from < slice.len() {
+            let take = (slice.len() - from).min(32);
+            let care = slice.care_word(from, take);
+            let value = slice.value_word(from, take);
+            let x = !care & ((1u64 << take) - 1);
+            self.push_codes(spread_even(value) | spread_even(x) << 1, take);
+            from += take;
+        }
+    }
+}
+
+/// Appends one segment (header + packed payload) to `out`; the payload
+/// goes through [`pack_payload`] first. See [`write_segment_packed`].
 ///
 /// # Errors
 ///
@@ -664,6 +914,28 @@ pub fn write_segment(
     k: usize,
     source_trits: usize,
     payload: &TritVec,
+) -> Result<(), FrameError> {
+    write_segment_packed(out, k, source_trits, payload.len(), &pack_payload(payload))
+}
+
+/// Appends one segment whose payload is already packed (`payload_trits`
+/// trits in `payload`, as [`PackedSink::finish`] or [`pack_payload`]
+/// returns them). The bytes are written verbatim, so any 2-bit codes —
+/// even the reserved `11` — reach the frame under a valid CRC.
+///
+/// # Errors
+///
+/// [`FrameError::SegmentTooLarge`] when `k` exceeds `u16::MAX` or either
+/// length exceeds the `u32` header fields; [`FrameError::Malformed`]
+/// (segment `usize::MAX`: the writer does not know its index) when
+/// `payload.len() != payload_trits.div_ceil(4)`. On error nothing is
+/// appended.
+pub fn write_segment_packed(
+    out: &mut Vec<u8>,
+    k: usize,
+    source_trits: usize,
+    payload_trits: usize,
+    payload: &[u8],
 ) -> Result<(), FrameError> {
     let k16 = match u16::try_from(k) {
         Ok(v) => v,
@@ -683,28 +955,29 @@ pub fn write_segment(
             })
         }
     };
-    let pay32 = match u32::try_from(payload.len()) {
+    let pay32 = match u32::try_from(payload_trits) {
         Ok(v) => v,
         Err(_) => {
             return Err(FrameError::SegmentTooLarge {
                 what: "segment payload trits",
-                len: payload.len(),
+                len: payload_trits,
             })
         }
     };
+    if payload.len() != payload_trits.div_ceil(4) {
+        return Err(FrameError::Malformed {
+            segment: usize::MAX,
+            what: "packed payload length disagrees with the payload trit count",
+        });
+    }
     let mut header = [0u8; 12];
     header[0..2].copy_from_slice(&k16.to_le_bytes());
     // bytes 2..4 reserved, zero
     header[4..8].copy_from_slice(&src32.to_le_bytes());
     header[8..12].copy_from_slice(&pay32.to_le_bytes());
-    let bytes = pack_payload(payload);
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in header.iter().chain(bytes.iter()) {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
     out.extend_from_slice(&header);
-    out.extend_from_slice(&(!crc).to_le_bytes());
-    out.extend_from_slice(&bytes);
+    out.extend_from_slice(&segment_crc(&header, payload).to_le_bytes());
+    out.extend_from_slice(payload);
     Ok(())
 }
 
@@ -890,6 +1163,31 @@ pub(crate) fn segment_at<'a>(
     segment: usize,
     limits: &DecodeLimits,
 ) -> Result<(ParsedSegment<'a>, usize), FrameError> {
+    let raw = raw_segment_at(bytes, at, segment)?;
+    if !raw.crc_ok() {
+        return Err(FrameError::BadCrc { segment });
+    }
+    // CRC is good, so the claims are what the writer wrote — now hold
+    // them to the caller's limits and to 9C structure.
+    raw.check_claims(segment, limits)?;
+    Ok((raw.seg, raw.end))
+}
+
+/// A data segment located at some offset whose CRC has not been checked
+/// yet: what [`segment_at`] knows before hashing.
+struct RawSegment<'a> {
+    /// The 12 header bytes the CRC covers.
+    header: &'a [u8],
+    crc_stored: u32,
+    seg: ParsedSegment<'a>,
+    /// Offset just past the payload.
+    end: usize,
+}
+
+/// The pre-CRC half of [`segment_at`]: the header is present, its
+/// reserved bytes are zero, `K` is valid and the claimed payload
+/// physically fits in `bytes`.
+fn raw_segment_at(bytes: &[u8], at: usize, segment: usize) -> Result<RawSegment<'_>, FrameError> {
     let header_end = at
         .checked_add(SEGMENT_HEADER_BYTES)
         .ok_or(FrameError::Truncated { offset: at })?;
@@ -925,46 +1223,65 @@ pub(crate) fn segment_at<'a>(
         .ok_or(FrameError::Truncated {
             offset: bytes.len(),
         })?;
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in header[..12].iter().chain(payload.iter()) {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    if !crc != crc_stored {
-        return Err(FrameError::BadCrc { segment });
-    }
-    // CRC is good, so the claims are what the writer wrote — now hold
-    // them to the caller's limits and to 9C structure (each K-trit block
-    // consumes at least one payload trit, so a CRC-valid header claiming
-    // more output than `payload_trits * k` is an expansion bomb).
-    if source_trits > limits.max_segment_trits {
-        return Err(FrameError::LimitExceeded {
-            what: "segment source trits",
-            requested: source_trits,
-            limit: limits.max_segment_trits,
-        });
-    }
-    if payload_trits > limits.max_segment_trits {
-        return Err(FrameError::LimitExceeded {
-            what: "segment payload trits",
-            requested: payload_trits,
-            limit: limits.max_segment_trits,
-        });
-    }
-    if source_trits > payload_trits.saturating_mul(k) {
-        return Err(FrameError::Malformed {
-            segment,
-            what: "segment claims more source trits than its payload can encode",
-        });
-    }
-    Ok((
-        ParsedSegment {
+    Ok(RawSegment {
+        header: &header[..12],
+        crc_stored,
+        seg: ParsedSegment {
             k,
             source_trits,
             payload_trits,
             payload,
         },
-        payload_end,
-    ))
+        end: payload_end,
+    })
+}
+
+impl RawSegment<'_> {
+    fn crc_ok(&self) -> bool {
+        segment_crc(self.header, self.seg.payload) == self.crc_stored
+    }
+
+    /// The post-CRC half of [`segment_at`]: the caller's limits, and 9C
+    /// structure — each `K`-trit block consumes at least one payload
+    /// trit, so a header claiming more output than `payload_trits * k`
+    /// is an expansion bomb.
+    fn check_claims(&self, segment: usize, limits: &DecodeLimits) -> Result<(), FrameError> {
+        let ParsedSegment {
+            k,
+            source_trits,
+            payload_trits,
+            ..
+        } = self.seg;
+        if source_trits > limits.max_segment_trits {
+            return Err(FrameError::LimitExceeded {
+                what: "segment source trits",
+                requested: source_trits,
+                limit: limits.max_segment_trits,
+            });
+        }
+        if payload_trits > limits.max_segment_trits {
+            return Err(FrameError::LimitExceeded {
+                what: "segment payload trits",
+                requested: payload_trits,
+                limit: limits.max_segment_trits,
+            });
+        }
+        if source_trits > payload_trits.saturating_mul(k) {
+            return Err(FrameError::Malformed {
+                segment,
+                what: "segment claims more source trits than its payload can encode",
+            });
+        }
+        Ok(())
+    }
+}
+
+/// `true` when a data segment parses at `at` — the same answer as
+/// `segment_at(..).is_ok()`, but the cheap structural claims run before
+/// the CRC, so most resync probes over damaged bytes never hash.
+pub(crate) fn data_segment_parses(bytes: &[u8], at: usize, limits: &DecodeLimits) -> bool {
+    raw_segment_at(bytes, at, 0)
+        .is_ok_and(|raw| raw.check_claims(0, limits).is_ok() && raw.crc_ok())
 }
 
 /// Publishes frame-health counters for a failed parse/scan step.
@@ -1195,7 +1512,7 @@ fn any_segment_parses(bytes: &[u8], at: usize, v3: bool, limits: &DecodeLimits) 
     if v3 && bytes.get(at..at + 2) == Some(&PARITY_MARKER.to_le_bytes()) {
         return parity_at(bytes, at, 0, limits).is_ok();
     }
-    segment_at(bytes, at, 0, limits).is_ok()
+    data_segment_parses(bytes, at, limits)
 }
 
 /// Finds the next offset in `(at, len)` where a CRC-valid segment (data
@@ -1314,6 +1631,88 @@ mod tests {
         // The canonical "123456789" check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time table loop the sliced CRC replaced, kept as its
+    /// differential oracle.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_crc_matches_the_bytewise_loop() {
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        let data: Vec<u8> = (0u32..1108)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        // Every length 0..=1100 at every start offset 0..8 (all word
+        // alignments and every tail length of the 16- and 8-byte steps).
+        for start in 0..8 {
+            for len in 0..=1100 {
+                let s = &data[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
+        // Incremental updates split at every point of a 64-byte buffer.
+        let buf = &data[..64];
+        for split in 0..=64 {
+            let mut crc = Crc32::new();
+            crc.update(&buf[..split]);
+            crc.update(&buf[split..]);
+            assert_eq!(crc.finish(), crc32_bytewise(buf), "split {split}");
+        }
+    }
+
+    /// `find_resync` without the structural prefilter: every probe runs
+    /// the full parser, CRC first.
+    fn find_resync_plain(bytes: &[u8], at: usize, v3: bool, limits: &DecodeLimits) -> usize {
+        let mut p = at + 1;
+        while p + SEGMENT_HEADER_BYTES <= bytes.len() {
+            let parses = if v3 && bytes.get(p..p + 2) == Some(&PARITY_MARKER.to_le_bytes()) {
+                parity_at(bytes, p, 0, limits).is_ok()
+            } else {
+                segment_at(bytes, p, 0, limits).is_ok()
+            };
+            if parses {
+                return p;
+            }
+            p += 1;
+        }
+        bytes.len()
+    }
+
+    #[test]
+    fn prefiltered_resync_matches_plain_probes_under_every_byte_mutation() {
+        // A small v3 frame: three K=4 data segments, two parity groups.
+        let stream = tv("0X1X00110XX1111X0X0X1100");
+        let golden = crate::engine::Engine::builder()
+            .threads(1)
+            .segment_bits(8)
+            .parity(2, 1)
+            .build()
+            .encode_frame(4, &stream)
+            .expect("frame encodes");
+        let limits = DecodeLimits {
+            max_segment_trits: 64,
+            ..DecodeLimits::default()
+        };
+        let from = HEADER_BYTES_V3 - 1;
+        let mut bytes = golden.clone();
+        for pos in 0..golden.len() {
+            for value in 0..=255u8 {
+                bytes[pos] = value;
+                assert_eq!(
+                    find_resync(&bytes, from, true, &limits),
+                    Ok(find_resync_plain(&bytes, from, true, &limits)),
+                    "byte {pos} = {value:#04x}"
+                );
+            }
+            bytes[pos] = golden[pos];
+        }
     }
 
     fn sample_frame() -> Vec<u8> {

@@ -50,7 +50,7 @@
 //! assert_eq!(back.len(), stream.len());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
-#![deny(clippy::unwrap_used)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod archive;
 pub mod audit;
@@ -59,6 +59,7 @@ pub mod ecc;
 pub mod exec;
 pub mod faultpoint;
 pub mod frame;
+mod kernel;
 pub mod plan;
 pub mod pool;
 pub mod reader;
@@ -85,7 +86,7 @@ pub use scrub::{ScrubFinding, ScrubMode, ScrubReport, ScrubVerdict};
 pub type SharedEngine = std::sync::Arc<Engine>;
 
 use crate::code::CodeTable;
-use crate::decode::{DecodeError, StreamDecoder};
+use crate::decode::DecodeError;
 use crate::encode::{EncodeStats, EncodeTotals, Encoded, Encoder, InvalidBlockSize};
 use crate::stream::BitCounter;
 use ninec_testdata::trit::{Trit, TritVec};
@@ -375,7 +376,13 @@ impl Engine {
         let parts: Vec<(TritVec, EncodeTotals)> =
             pool::map_indexed(self.threads, ranges.len(), |i| {
                 let (start, end) = ranges[i];
-                encode_segment(&encoder, stream, start, end)
+                let t0 = ninec_obs::runtime_enabled().then(std::time::Instant::now);
+                let mut seg_stream = TritVec::with_capacity((end - start) / 4 + 8);
+                let totals = encode_segment(&encoder, stream, start, end, &mut seg_stream);
+                if let Some(t0) = t0 {
+                    crate::metrics::publish_segment_encode(t0.elapsed().as_nanos() as u64);
+                }
+                (seg_stream, totals)
             });
         // Deterministic merge: segment order is source order.
         let mut out = TritVec::with_capacity(parts.iter().map(|(s, _)| s.len()).sum());
@@ -430,40 +437,40 @@ impl Engine {
         stream: &TritVec,
     ) -> Result<Vec<u8>, EncodeFrameError> {
         let _span = ninec_obs::span("engine_encode_frame");
-        let Some(&first) = candidates.first() else {
-            return Err(InvalidBlockSize { k: 0 }.into());
-        };
         let encoders = candidates
             .iter()
             .map(|&k| Encoder::with_table(k, self.table.clone()))
             .collect::<Result<Vec<_>, _>>()?;
-        let ranges = Self::segment_ranges(stream.len(), self.segment_len(first));
-        let parts: Vec<(usize, TritVec)> = pool::map_indexed(self.threads, ranges.len(), |i| {
-            let (start, end) = ranges[i];
-            let t0 = ninec_obs::runtime_enabled().then(std::time::Instant::now);
-            let enc = if encoders.len() == 1 {
-                &encoders[0]
-            } else {
+        let Some(head) = encoders.first() else {
+            return Err(InvalidBlockSize { k: 0 }.into());
+        };
+        let ranges = Self::segment_ranges(stream.len(), self.segment_len(head.k()));
+        // Each segment's payload goes straight into the packed wire format.
+        let parts: Vec<(usize, (Vec<u8>, usize))> =
+            pool::map_indexed(self.threads, ranges.len(), |i| {
+                let (start, end) = ranges[i];
+                let t0 = ninec_obs::runtime_enabled().then(std::time::Instant::now);
                 // Counting pass per candidate; deterministic tie-break on
                 // (size, K).
-                encoders
-                    .iter()
-                    .min_by_key(|enc| {
-                        let mut counter = BitCounter::default();
-                        let mut se = enc.stream_encoder(&mut counter);
-                        se.feed(stream.slice_view(start, end));
-                        se.finish();
-                        (counter.bits(), enc.k())
-                    })
-                    .expect("candidate list verified non-empty above")
-            };
-            let (seg_stream, _totals) = encode_segment(enc, stream, start, end);
-            if let Some(t0) = t0 {
-                crate::metrics::publish_segment_encode(t0.elapsed().as_nanos() as u64);
-            }
-            (enc.k(), seg_stream)
-        });
-        let mut out = Vec::new();
+                let enc = if encoders.len() == 1 {
+                    head
+                } else {
+                    encoders
+                        .iter()
+                        .min_by_key(|enc| {
+                            let mut counter = BitCounter::default();
+                            encode_segment(enc, stream, start, end, &mut counter);
+                            (counter.bits(), enc.k())
+                        })
+                        .unwrap_or(head)
+                };
+                let mut sink = frame::PackedSink::with_capacity((end - start) / 4 + 8);
+                encode_segment(enc, stream, start, end, &mut sink);
+                if let Some(t0) = t0 {
+                    crate::metrics::publish_segment_encode(t0.elapsed().as_nanos() as u64);
+                }
+                (enc.k(), sink.finish())
+            });
         let segment_count = u32::try_from(ranges.len()).map_err(|_| {
             EncodeFrameError::Frame(FrameError::SegmentTooLarge {
                 what: "segment count",
@@ -478,6 +485,26 @@ impl Engine {
             ),
             None => None,
         };
+        // Size the frame exactly up front: every segment is its header
+        // plus its packed payload, and each group's parity segments are
+        // as long as the group's longest member.
+        let n = parts.len();
+        let seg_bytes = |i: usize| frame::SEGMENT_HEADER_BYTES + parts[i].1 .0.len();
+        let (header_bytes, parity_bytes) = match self.parity {
+            Some((g, r)) => {
+                let groups = frame::group_count(n, g);
+                let shard_bytes: usize = (0..groups)
+                    .map(|q| {
+                        let longest = frame::group_members(q, n, groups).map(seg_bytes).max();
+                        frame::SEGMENT_HEADER_BYTES + longest.unwrap_or(0)
+                    })
+                    .sum();
+                (frame::HEADER_BYTES_V3, shard_bytes * r as usize)
+            }
+            None => (frame::HEADER_BYTES, 0),
+        };
+        let mut out =
+            Vec::with_capacity(header_bytes + (0..n).map(seg_bytes).sum::<usize>() + parity_bytes);
         match self.parity {
             Some((g, r)) => frame::write_header_v3(
                 &mut out,
@@ -494,11 +521,11 @@ impl Engine {
                 stream.len() as u64,
             ),
         }
-        let mut seg_spans: Vec<std::ops::Range<usize>> = Vec::with_capacity(parts.len());
-        for (i, (k, seg_stream)) in parts.iter().enumerate() {
+        let mut seg_spans: Vec<std::ops::Range<usize>> = Vec::with_capacity(n);
+        for (i, (k, (payload, payload_trits))) in parts.iter().enumerate() {
             let (start, end) = ranges[i];
             let at = out.len();
-            frame::write_segment(&mut out, *k, end - start, seg_stream)?;
+            frame::write_segment_packed(&mut out, *k, end - start, *payload_trits, payload)?;
             seg_spans.push(at..out.len());
         }
         if let (Some(coder), Some((g, _r))) = (coder, self.parity) {
@@ -506,21 +533,18 @@ impl Engine {
             // header + payload bytes, zero-padded to the group's longest
             // member — so a reconstructed shard *is* the segment,
             // re-verifiable against its own CRC.
-            let n = seg_spans.len();
             let groups = frame::group_count(n, g);
             let parity_start = out.len();
-            let mut shards: Vec<(usize, usize, Vec<u8>)> = Vec::new();
             for q in 0..groups {
                 let members: Vec<&[u8]> = frame::group_members(q, n, groups)
                     .map(|i| &out[seg_spans[i].clone()])
                     .collect();
                 let shard_len = members.iter().map(|m| m.len()).max().unwrap_or(0);
-                for (j, shard) in coder.encode(&members, shard_len).into_iter().enumerate() {
-                    shards.push((q, j, shard));
+                let shards = coder.encode(&members, shard_len);
+                // Parity segments follow in (group, pindex) order.
+                for (j, shard) in shards.iter().enumerate() {
+                    frame::write_parity_segment(&mut out, q, j, shard)?;
                 }
-            }
-            for (q, j, shard) in &shards {
-                frame::write_parity_segment(&mut out, *q, *j, shard)?;
             }
             crate::metrics::publish_parity_bits(((out.len() - parity_start) * 8) as u64);
         }
@@ -578,22 +602,26 @@ impl Engine {
             _ => {}
         }
         let t0 = ninec_obs::runtime_enabled().then(std::time::Instant::now);
-        let payload = frame::unpack_payload(seg, i)?;
-        if payload.len() != seg.payload_trits {
-            return Err(DecodeError::Frame(frame::FrameError::Malformed {
-                segment: i,
-                what: "payload length disagrees with the segment header",
-            }));
-        }
-        let dec = StreamDecoder::new(
-            payload.as_slice().iter(),
-            seg.k,
-            table.clone(),
-            seg.source_trits,
-        )
-        .map_err(|e| DecodeError::InvalidBlockSize { k: e.k })?;
-        let mut out = TritVec::with_capacity(seg.source_trits);
-        dec.run_into(&mut out)?;
+        let mut out = match kernel::decode(seg, &kernel::Lookup::of(table)) {
+            Some(done) => {
+                if done.blocks > 0 {
+                    crate::metrics::publish_decode(
+                        done.blocks,
+                        done.consumed as u64,
+                        seg.source_trits as u64,
+                    );
+                }
+                done.trits
+            }
+            // The kernel only knows *that* the segment fails; the
+            // reference path says how, with the oracle's exact typed error
+            // and decode counters.
+            None => {
+                let reference = kernel::reference(seg, i, table);
+                debug_assert!(reference.is_err(), "kernel rejected segment {i}");
+                reference?
+            }
+        };
         if matches!(fault, Some(faultpoint::Action::Corrupt)) {
             // Torn write: flip the first decoded trit after the CRC and
             // the 9C decode both passed.
@@ -612,23 +640,17 @@ impl Engine {
     }
 }
 
-/// Encodes one `[start, end)` segment of `stream` with `enc`, recording
-/// the segment-latency histogram sample (batched, once per segment).
-fn encode_segment(
+/// Encodes the `[start, end)` segment of `stream` with `enc` into `sink`.
+fn encode_segment<S: crate::stream::BitSink>(
     enc: &Encoder,
     stream: &TritVec,
     start: usize,
     end: usize,
-) -> (TritVec, EncodeTotals) {
-    let t0 = ninec_obs::runtime_enabled().then(std::time::Instant::now);
-    let mut out = TritVec::with_capacity((end - start) / 4 + 8);
-    let mut se = enc.stream_encoder(&mut out);
+    sink: &mut S,
+) -> EncodeTotals {
+    let mut se = enc.stream_encoder(sink);
     se.feed(stream.slice_view(start, end));
-    let totals = se.finish();
-    if let Some(t0) = t0 {
-        crate::metrics::publish_segment_encode(t0.elapsed().as_nanos() as u64);
-    }
-    (out, totals)
+    se.finish()
 }
 
 /// Accumulates `part` into `acc` (case counts, blocks, bits, leftover X).

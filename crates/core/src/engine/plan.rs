@@ -799,11 +799,18 @@ pub(crate) fn execute_strict(
     if let Some(e) = first_err {
         return Err(e);
     }
-    let mut trits = TritVec::with_capacity(plan.source_len);
-    for seg_out in &parts {
-        trits.extend_from_tritvec(seg_out);
-    }
     let total = parts.len();
+    // A one-segment frame's trits are the whole stream: no copy.
+    let trits = match <[TritVec; 1]>::try_from(parts) {
+        Ok([only]) => only,
+        Err(parts) => {
+            let mut trits = TritVec::with_capacity(plan.source_len);
+            for seg_out in &parts {
+                trits.extend_from_tritvec(seg_out);
+            }
+            trits
+        }
+    };
     Ok(SalvageReport {
         trits,
         recovered_segments: total,

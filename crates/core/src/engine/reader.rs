@@ -571,7 +571,7 @@ impl<R: Read> FrameReader<R> {
             let parses = if is_parity {
                 frame::parity_at(&self.buf, p, 0, &self.limits).is_ok()
             } else {
-                frame::segment_at(&self.buf, p, 0, &self.limits).is_ok()
+                frame::data_segment_parses(&self.buf, p, &self.limits)
             };
             if parses {
                 self.consume(p);

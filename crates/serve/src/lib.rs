@@ -45,6 +45,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod chaos;
 pub mod client;

@@ -525,7 +525,12 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
         // with the request's deadline budget (0 = none).
         let (client_ms, body) = if deadlines {
             match wire::split_deadline(&body) {
-                Some((ms, rest)) => (ms, rest),
+                Some((ms, rest)) => {
+                    let prefix = body.len() - rest.len();
+                    let mut body = body;
+                    body.drain(..prefix);
+                    (ms, body)
+                }
                 None => {
                     let _ = wire::write_response(
                         &mut stream,
@@ -537,7 +542,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
                 }
             }
         } else {
-            (0, &body[..])
+            (0, body)
         };
         let client_budget = (client_ms > 0).then(|| Duration::from_millis(u64::from(client_ms)));
         let budget = match (client_budget, shared.config.max_request_time) {
@@ -562,7 +567,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
             }
             _ => Stats::tick(&shared.stats.failed, "ninec.serve.failed"),
         }
-        if wire::write_response(&mut stream, status, flags, &reply).is_err() {
+        if reply.write(&mut stream, status, flags).is_err() {
             conn_token.cancel();
             return;
         }
@@ -570,29 +575,62 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     }
 }
 
+/// A response body: plain bytes, or a decoded stream whose trit text is
+/// rendered while it is written (the text is four times the size of the
+/// stream's packed planes, so it is never held whole).
+enum Reply {
+    Bytes(Vec<u8>),
+    /// `[rung u8][damaged u32 le]`, then the stream's trit text.
+    Decoded {
+        head: [u8; 5],
+        trits: TritVec,
+    },
+}
+
+impl From<Vec<u8>> for Reply {
+    fn from(bytes: Vec<u8>) -> Self {
+        Reply::Bytes(bytes)
+    }
+}
+
+impl Reply {
+    fn write(&self, w: &mut impl Write, status: Status, flags: u8) -> std::io::Result<()> {
+        match self {
+            Reply::Bytes(body) => wire::write_response(w, status, flags, body),
+            Reply::Decoded { head, trits } => {
+                wire::write_text_response(w, status, flags, head, trits.as_slice())
+            }
+        }
+    }
+}
+
 /// The three admission gates, then the verb dispatch — wrapped in
 /// `catch_unwind` so a handler bug (or an armed fail point that slips
 /// past the executor's own panic boundary) degrades to a typed `Failed`
 /// response instead of killing the handler thread other tenants share.
+/// The request body moves into the dispatch, so a verb can release it
+/// as soon as it has parsed it.
 fn admit_and_dispatch(
     shared: &Shared,
     tenant: &Arc<Tenant>,
     op: Op,
-    body: &[u8],
+    body: Vec<u8>,
     cancel: &CancelToken,
-) -> (Status, u8, Vec<u8>) {
+) -> (Status, u8, Reply) {
     if !tenant.try_admit() {
         return (
             Status::RateLimited,
             0,
-            format!("tenant `{}` is over its request rate", tenant.name()).into_bytes(),
+            format!("tenant `{}` is over its request rate", tenant.name())
+                .into_bytes()
+                .into(),
         );
     }
     let Some(_slot) = InflightSlot::acquire(&shared.inflight, shared.config.max_inflight) else {
         return (
             Status::Busy,
             0,
-            b"admission window full; retry later".to_vec(),
+            b"admission window full; retry later".to_vec().into(),
         );
     };
     let degraded = shared.degraded();
@@ -605,7 +643,7 @@ fn admit_and_dispatch(
         Err(_) => (
             Status::Failed,
             flags,
-            b"internal error: request handler panicked".to_vec(),
+            b"internal error: request handler panicked".to_vec().into(),
         ),
     }
 }
@@ -616,35 +654,36 @@ fn dispatch(
     shared: &Shared,
     tenant: &Arc<Tenant>,
     op: Op,
-    body: &[u8],
+    body: Vec<u8>,
     degraded: bool,
     cancel: &CancelToken,
-) -> (Status, Vec<u8>) {
+) -> (Status, Reply) {
+    let bytes = |(status, body): (Status, Vec<u8>)| (status, Reply::Bytes(body));
     match op {
-        Op::Hello => (Status::BadRequest, b"hello handled upstream".to_vec()),
-        Op::Compress => compress(shared, body),
+        Op::Hello => bytes((Status::BadRequest, b"hello handled upstream".to_vec())),
+        Op::Compress => bytes(compress(shared, body)),
         Op::Decode => {
             let Some((&policy_byte, frame)) = body.split_first() else {
-                return (Status::BadRequest, b"empty decode body".to_vec());
+                return bytes((Status::BadRequest, b"empty decode body".to_vec()));
             };
             let Some(policy) = wire::policy_from_byte(policy_byte) else {
-                return (
+                return bytes((
                     Status::BadRequest,
                     format!("unknown policy byte {policy_byte}").into_bytes(),
-                );
+                ));
             };
             decode(shared, tenant, frame, policy, degraded, cancel)
         }
         Op::Repair => decode(
             shared,
             tenant,
-            body,
+            &body,
             ninec::Policy::Repair,
             degraded,
             cancel,
         ),
-        Op::Info => info(tenant, body),
-        Op::ArchiveRange => archive_range(shared, body),
+        Op::Info => bytes(info(tenant, &body)),
+        Op::ArchiveRange => bytes(archive_range(shared, &body)),
     }
 }
 
@@ -689,7 +728,7 @@ fn archive_range(shared: &Shared, body: &[u8]) -> (Status, Vec<u8>) {
 }
 
 /// `COMPRESS`: `[k u16 le][trit text]` → frame bytes.
-fn compress(shared: &Shared, body: &[u8]) -> (Status, Vec<u8>) {
+fn compress(shared: &Shared, body: Vec<u8>) -> (Status, Vec<u8>) {
     if body.len() < 2 {
         return (
             Status::BadRequest,
@@ -709,6 +748,9 @@ fn compress(shared: &Shared, body: &[u8]) -> (Status, Vec<u8>) {
             )
         }
     };
+    // The text is parsed: release it (four times the size of the parsed
+    // stream) before the encode allocates.
+    drop(body);
     match shared.engine.encode_frame(k, &stream) {
         Ok(frame) => (Status::Ok, frame),
         Err(e) => (Status::Failed, e.to_string().into_bytes()),
@@ -725,7 +767,7 @@ fn decode(
     requested: ninec::Policy,
     degraded: bool,
     cancel: &CancelToken,
-) -> (Status, Vec<u8>) {
+) -> (Status, Reply) {
     let policy = if degraded && requested != ninec::Policy::Strict {
         Stats::tick(&shared.stats.shed, "ninec.serve.shed");
         ninec::Policy::Strict
@@ -743,25 +785,29 @@ fn decode(
                 .map(|report| report.damaged.len())
                 .unwrap_or(0);
             let damaged = u32::try_from(damaged).unwrap_or(u32::MAX);
-            let mut body = Vec::with_capacity(5 + outcome.trits.len());
-            body.push(wire::rung_to_byte(outcome.rung));
-            body.extend_from_slice(&damaged.to_le_bytes());
-            text::push_text(&mut body, outcome.trits.as_slice());
+            let mut head = [wire::rung_to_byte(outcome.rung), 0, 0, 0, 0];
+            head[1..].copy_from_slice(&damaged.to_le_bytes());
             let status = if outcome.is_lossless() {
                 Status::Ok
             } else {
                 Status::Partial
             };
-            (status, body)
+            (
+                status,
+                Reply::Decoded {
+                    head,
+                    trits: outcome.trits,
+                },
+            )
         }
         // A tripped token — client deadline, server ceiling, or the
         // connection dying mid-decode — is a typed timeout, not a decode
         // failure: the frame itself was never judged.
         Err(e @ (ninec::DecodeError::Cancelled | ninec::DecodeError::DeadlineExceeded)) => {
             ninec_obs::counter("ninec.serve.cancelled_jobs").add(1);
-            (Status::DeadlineExceeded, e.to_string().into_bytes())
+            (Status::DeadlineExceeded, e.to_string().into_bytes().into())
         }
-        Err(e) => (Status::Failed, e.to_string().into_bytes()),
+        Err(e) => (Status::Failed, e.to_string().into_bytes().into()),
     }
 }
 

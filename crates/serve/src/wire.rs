@@ -26,6 +26,8 @@
 //! the server decodes under `min(client deadline, max_request_time)`.
 //! Old clients send a bare tenant name and are byte-for-byte unaffected.
 
+use ninec_testdata::slice::TritSlice;
+use ninec_testdata::text;
 use std::io::{Read, Write};
 
 /// Default per-message size cap, request and response alike (64 MiB).
@@ -414,6 +416,45 @@ pub fn write_response(
     write_message(w, &[&[status as u8, flags], body])
 }
 
+/// Trits rendered per write by [`write_text_response`].
+const TEXT_CHUNK_TRITS: usize = 16 * 1024;
+
+/// Writes one response frame whose body is `head` followed by the trit
+/// text of `trits` (one byte per trit), rendering the text in bounded
+/// chunks as it goes: the same bytes as [`write_response`] of the joined
+/// body, without ever holding the whole text.
+///
+/// # Errors
+///
+/// As [`write_response`].
+pub fn write_text_response(
+    w: &mut impl Write,
+    status: Status,
+    flags: u8,
+    head: &[u8],
+    trits: TritSlice<'_>,
+) -> std::io::Result<()> {
+    let len = u32::try_from(2 + head.len() + trits.len()).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "message exceeds u32 length",
+        )
+    })?;
+    w.write_all(&len.to_le_bytes())?;
+    w.write_all(&[status as u8, flags])?;
+    w.write_all(head)?;
+    let mut chunk = Vec::with_capacity(TEXT_CHUNK_TRITS.min(trits.len()));
+    let mut at = 0;
+    while at < trits.len() {
+        let end = (at + TEXT_CHUNK_TRITS).min(trits.len());
+        chunk.clear();
+        text::push_text(&mut chunk, trits.subslice(at, end));
+        w.write_all(&chunk)?;
+        at = end;
+    }
+    w.flush()
+}
+
 /// Reads one response frame. `Ok(None)` means the server closed cleanly.
 ///
 /// # Errors
@@ -460,6 +501,27 @@ mod tests {
         assert_eq!(resp.status, Status::Partial);
         assert!(resp.degraded());
         assert_eq!(resp.text(), "text");
+    }
+
+    #[test]
+    fn text_response_matches_the_joined_body() {
+        let trits: ninec_testdata::trit::TritVec =
+            "01X".repeat(TEXT_CHUNK_TRITS / 2 + 7).parse().unwrap();
+        let head = [3u8, 1, 0, 0, 0];
+        let mut body = head.to_vec();
+        text::push_text(&mut body, trits.as_slice());
+        let mut joined = Vec::new();
+        write_response(&mut joined, Status::Partial, FLAG_DEGRADED, &body).unwrap();
+        let mut streamed = Vec::new();
+        write_text_response(
+            &mut streamed,
+            Status::Partial,
+            FLAG_DEGRADED,
+            &head,
+            trits.as_slice(),
+        )
+        .unwrap();
+        assert_eq!(streamed, joined);
     }
 
     #[test]

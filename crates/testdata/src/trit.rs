@@ -401,6 +401,37 @@ impl TritVec {
         self.iter().map(|t| t == Trit::One).collect()
     }
 
+    /// Builds a vector of `len` trits from packed LSB-first plane words
+    /// (the layout [`BitVec::words`] exposes): `care` marks the
+    /// specified symbols and `value` their values. Value bits outside the
+    /// care plane and bits at positions `>= len` are cleared, so the
+    /// plane invariant holds whatever the words contain.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both planes hold exactly `len.div_ceil(64)` words.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ninec_testdata::trit::TritVec;
+    ///
+    /// // care 0b1011, value 0b0011 (the value bit at position 2 is not
+    /// // cared about and is dropped): "11X0".
+    /// let tv = TritVec::from_plane_words(vec![0b1011], vec![0b0111], 4);
+    /// assert_eq!(tv.to_string(), "11X0");
+    /// ```
+    #[must_use]
+    pub fn from_plane_words(care: Vec<u64>, mut value: Vec<u64>, len: usize) -> Self {
+        for (v, c) in value.iter_mut().zip(&care) {
+            *v &= *c;
+        }
+        Self::from_planes(
+            BitVec::from_words(care, len),
+            BitVec::from_words(value, len),
+        )
+    }
+
     /// Builds a vector from equal-length planes that satisfy the plane
     /// invariant.
     pub(crate) fn from_planes(care: BitVec, value: BitVec) -> Self {
