@@ -12,8 +12,8 @@
 use ninec_bench::datasets::ibm_datasets;
 use ninec_bench::throughput::{
     bench_core_json, measure, measure_ecc_repair, measure_engine_scaling, measure_obs_overhead,
-    measure_plan_decode, measure_trace_overhead, EccRepairRow, EngineScalingRow, ObsOverheadRow,
-    PlanDecodeRow, ThroughputRow, TraceOverheadRow,
+    measure_trace_overhead, EccRepairRow, EngineScalingRow, ObsOverheadRow, ThroughputRow,
+    TraceOverheadRow,
 };
 use std::fs;
 use std::path::PathBuf;
@@ -127,26 +127,6 @@ fn main() {
         );
         ecc_rows.push(row);
     }
-    // Plan-then-execute pipeline: the same damaged-v3 repair driven off a
-    // single FramePlan. The measurement asserts the scan-pass counter
-    // drops 3→1 for the whole strict→repair→salvage ladder and that the
-    // plan-driven repair is bit-exact; the throughput rows show the
-    // repair path is no slower than the one-shot wrapper.
-    let mut plan_rows: Vec<PlanDecodeRow> = Vec::new();
-    for threads in [1usize, 8] {
-        let row = measure_plan_decode(&ibm[0].name, ckt1, 8, threads, 1 << 20, (4, 1), 5);
-        eprintln!(
-            "{} K=8 threads={:<2} parity 4:1 ladder scans {}→{}, repair {:>8.1} -> {:>8.1} Mbit/s ({:.2}x)",
-            row.circuit,
-            row.threads,
-            row.classic_scan_passes,
-            row.plan_scan_passes,
-            row.classic_repair_mbit_s,
-            row.plan_repair_mbit_s,
-            row.repair_speedup()
-        );
-        plan_rows.push(row);
-    }
     // Fault-tolerance counters: corrupt one payload byte of a CKT1 frame,
     // watch strict decode reject it (crc_failures), salvage it
     // (salvaged_segments), and reject a decode under a hostile limit
@@ -208,26 +188,24 @@ fn main() {
             .parity(4, 1)
             .build();
         let mut v3 = protected.encode_frame(8, &small).expect("encode v3");
-        let scan = ninec::engine::frame::scan_salvage(&v3, &DecodeLimits::default())
-            .expect("scan own frame");
-        let data: Vec<_> = scan
-            .entries
+        let plan = protected.build_plan(&v3).expect("plan own frame");
+        let data: Vec<_> = plan
+            .entries()
             .iter()
             .filter_map(|e| match e {
-                ninec::engine::frame::ScanEntry::Intact { byte_range, .. } => {
-                    Some(byte_range.clone())
-                }
+                ninec::PlanEntry::Data { byte_range, .. } => Some(byte_range.clone()),
                 _ => None,
             })
             .collect();
-        let groups = scan.groups();
+        let groups = plan.groups();
         // Two data segments of group 0: indices 0 and `groups`.
         for idx in [0, groups] {
             v3[data[idx].start + SEGMENT_HEADER_BYTES] ^= 0x55;
         }
+        let plan = protected.build_plan(&v3).expect("file headers intact");
         let report = protected
-            .decode_frame_repair(&v3)
-            .expect("file headers intact");
+            .execute_plan(&plan, ninec::Policy::Repair)
+            .expect("repairable table");
         assert!(
             !report.is_full_recovery(),
             "over-budget damage must not fully repair"
@@ -236,14 +214,7 @@ fn main() {
     if let Some(dir) = out.parent() {
         fs::create_dir_all(dir).expect("create results dir");
     }
-    let doc = bench_core_json(
-        &rows,
-        &obs_rows,
-        &scaling_rows,
-        &ecc_rows,
-        &plan_rows,
-        &trace_rows,
-    );
+    let doc = bench_core_json(&rows, &obs_rows, &scaling_rows, &ecc_rows, &trace_rows);
     let text = serde_json::to_string_pretty(&doc).expect("serialize results");
     fs::write(&out, text + "\n").expect("write results");
     println!("wrote {}", out.display());

@@ -20,7 +20,7 @@
 //! boundary leaves either the old index (whose records never reference
 //! the torn tail — the next append truncates it away) or the new one
 //! (whose data was durable before the rename). The
-//! [`faultpoint`](super::faultpoint) site `arc` with action `kill`
+//! [`faultpoint`] site `arc` with action `kill`
 //! makes that claim testable at every single boundary.
 //!
 //! **Dedup** is content-addressed: blobs are keyed by an FNV-1a 64
@@ -31,9 +31,8 @@
 //!
 //! **Random access**: each frame record carries per-segment source-trit
 //! extents, so [`Archive::decode_range`] reads only the overlapping
-//! blobs, reassembles them into a minimal valid v2 frame and decodes it
-//! through the engine's ordinary [`FramePlan`](super::FramePlan) path —
-//! O(segments-touched), not O(archive).
+//! blobs, CRC-checks each once and decodes them through the strict
+//! rung's decode-and-merge path — O(segments-touched), not O(archive).
 //!
 //! Bit-rot detection and in-place repair live in the
 //! [`scrub`](super::scrub) sibling module.
@@ -46,6 +45,7 @@ use std::path::{Path, PathBuf};
 
 use super::faultpoint;
 use super::frame::{self, FrameError};
+use super::plan::{decode_segments, StrictState};
 use super::Engine;
 use crate::decode::DecodeError;
 use ninec_testdata::trit::TritVec;
@@ -977,9 +977,10 @@ impl Archive {
     }
 
     /// Decodes `len` source trits starting at trit `start` of frame
-    /// `frame`, reading **only** the overlapping segment blobs: they
-    /// are reassembled into a minimal valid v2 frame and decoded
-    /// through the engine's ordinary plan-then-execute path, then
+    /// `frame`, reading **only** the overlapping segment blobs: each is
+    /// CRC-checked once, the window is charged against the engine's
+    /// allocation budget like a strict frame decode, and the segments
+    /// decode through the strict rung's decode-and-merge path, then are
     /// sliced to the requested range.
     ///
     /// # Errors
@@ -987,8 +988,8 @@ impl Archive {
     /// [`ArchiveError::FrameOutOfRange`] /
     /// [`ArchiveError::RangeOutOfBounds`] for bad coordinates;
     /// [`ArchiveError::Rotted`] when an overlapping blob fails its CRC;
-    /// [`ArchiveError::Decode`] when the reassembled frame fails to
-    /// decode.
+    /// [`ArchiveError::Decode`] when the window busts the allocation
+    /// budget or a segment fails to decode.
     pub fn decode_range(
         &self,
         frame_idx: usize,
@@ -1024,25 +1025,49 @@ impl Archive {
         let limits = self.engine.limits;
         let head = frame::parse_file_header(&fr.header, &limits)?;
         let sub = &fr.segs[lo..=hi];
-        let sub_src: u64 = sub.iter().map(|b| u64::from(b.source_trits)).sum();
-        let mut mini = Vec::new();
-        frame::write_header(&mut mini, head.table_lengths, sub.len() as u32, sub_src);
+        let sub_src: usize = sub.iter().map(|b| b.source_trits as usize).sum();
         let mut file = File::open(&self.data_path).map_err(io("opening store"))?;
-        for (j, b) in sub.iter().enumerate() {
-            let blob = read_exact_at(&mut file, b.offset, b.len)?;
-            let ok =
-                matches!(frame::segment_at(&blob, 0, j, &limits), Ok((_, e)) if e == blob.len());
-            if !ok {
-                return Err(ArchiveError::Rotted {
-                    frame: frame_idx,
-                    segment: lo + j,
-                });
+        let blobs = sub
+            .iter()
+            .map(|b| read_exact_at(&mut file, b.offset, b.len))
+            .collect::<Result<Vec<_>, _>>()?;
+        // Each blob's rot check is its one parse and CRC pass; a sound
+        // blob is exactly one segment, header plus payload.
+        let mut segs = Vec::with_capacity(blobs.len());
+        for (j, blob) in blobs.iter().enumerate() {
+            match frame::segment_at(blob, 0, j, &limits) {
+                Ok((seg, e)) if e == blob.len() => segs.push(seg),
+                _ => {
+                    return Err(ArchiveError::Rotted {
+                        frame: frame_idx,
+                        segment: lo + j,
+                    })
+                }
             }
-            mini.extend_from_slice(&blob);
         }
-        let trits = self
-            .engine
-            .decode_frame(&mini)
+        // The window's decode allocation, charged like a strict frame
+        // decode charges its segments; then the blobs must cover exactly
+        // the trits the index gives the window, as a frame's segments
+        // must cover its header total.
+        let mut budget = StrictState::new(sub_src, &limits);
+        let mut covered = 0usize;
+        for seg in &segs {
+            if let Err(e) = budget.charge_data(seg.source_trits, seg.payload_trits) {
+                frame::publish_failure_metrics(&e);
+                return Err(ArchiveError::Decode(e.into()));
+            }
+            covered = covered.saturating_add(seg.source_trits);
+        }
+        if covered != sub_src {
+            return Err(ArchiveError::Decode(
+                FrameError::Malformed {
+                    segment: segs.len(),
+                    what: "segment source lengths do not sum to the header total",
+                }
+                .into(),
+            ));
+        }
+        let trits = decode_segments(&self.engine, &head.table_lengths, &segs, sub_src)
             .map_err(ArchiveError::Decode)?;
         let off = start - usize::try_from(fr.trit_starts[lo]).unwrap_or(0);
         Ok(trits.slice(off, off + len))
@@ -1152,6 +1177,42 @@ mod tests {
         assert!(matches!(
             arc.decode_range(0, stream.len(), 1),
             Err(ArchiveError::RangeOutOfBounds { .. })
+        ));
+    }
+
+    #[test]
+    fn index_counts_disagreeing_with_blobs_are_a_typed_error() {
+        let dir = tempdir("arc_shifted");
+        let eng = engine();
+        let mut arc = Archive::create(dir.join("t.9ca"), &eng).expect("create");
+        arc.append_frame(&eng.encode_frame(8, &sample(20)).expect("frame"))
+            .expect("append");
+        // Move one trit from record 1's count to record 0's, keeping the
+        // frame total (so the index still loads), and fix up the CRC.
+        let mut bytes = std::fs::read(arc.index_path()).expect("read index");
+        let records = INDEX_FIXED_BYTES + 1 + usize::from(bytes[INDEX_FIXED_BYTES]) + 8;
+        let count_at = |r: usize| records + r * RECORD_BYTES + 12;
+        let count = |b: &[u8], r: usize| {
+            u32::from_le_bytes(b[count_at(r)..count_at(r) + 4].try_into().expect("4 bytes"))
+        };
+        let (c0, c1) = (count(&bytes, 0), count(&bytes, 1));
+        bytes[count_at(0)..count_at(0) + 4].copy_from_slice(&(c0 + 1).to_le_bytes());
+        bytes[count_at(1)..count_at(1) + 4].copy_from_slice(&(c1 - 1).to_le_bytes());
+        let body_len = bytes.len() - 4;
+        let crc = frame::crc32(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(arc.index_path(), &bytes).expect("write index");
+        let arc = Archive::open(dir.join("t.9ca"), &eng).expect("shifted counts still load");
+        // A window over record 0 alone claims one trit more than its
+        // blob holds: a typed decode error, not a panic or shifted trits.
+        assert!(matches!(
+            arc.decode_range(0, 0, 1),
+            Err(ArchiveError::Decode(DecodeError::Frame(
+                FrameError::Malformed {
+                    segment: 1,
+                    what: "segment source lengths do not sum to the header total",
+                }
+            )))
         ));
     }
 

@@ -2,7 +2,7 @@
 //!
 //! A [`CancelToken`] is the engine's time-robustness primitive: an
 //! `Arc`-shared atomic flag plus an optional deadline
-//! [`Instant`](std::time::Instant), checked *between* jobs by the
+//! [`Instant`], checked *between* jobs by the
 //! [`exec`](super::exec) executor — never inside a segment decode, so
 //! cancellation costs one atomic load + at most one clock read per job
 //! and a segment's output is always either complete or absent.

@@ -22,8 +22,7 @@
 //! other's faults. Two ways in, both only with the `failpoints` cargo
 //! feature:
 //!
-//! - [`EngineBuilder::failpoint`](crate::engine::EngineBuilder::failpoint)
-//!   in code, or
+//! - `EngineBuilder::failpoint` in code, or
 //! - the [`ENV`] environment variable (`NINEC_FAILPOINT`), parsed once at
 //!   [`build`](crate::engine::EngineBuilder::build) time with the spec
 //!   grammar below.

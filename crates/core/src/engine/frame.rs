@@ -88,16 +88,16 @@
 //! [`FrameError::LimitExceeded`] instead of triggering a huge
 //! `with_capacity`.
 //!
-//! For fault *tolerance* (not just detection), [`scan_salvage`] walks a
-//! frame segment-by-segment, resynchronising after damage, and classifies
-//! every byte range as intact or damaged — the engine's salvage decode
-//! builds on it to recover every intact segment from a corrupted frame.
+//! For fault *tolerance* (not just detection), the engine's
+//! [`FramePlan`](crate::engine::FramePlan) walks a frame
+//! segment-by-segment, resynchronising after damage, and classifies
+//! every byte range as intact or damaged — the repair and salvage rungs
+//! recover every intact segment of a corrupted frame from it.
 
 use crate::stream::BitSink;
 use ninec_testdata::slice::TritSlice;
 use ninec_testdata::trit::{Trit, TritVec};
 use std::fmt;
-use std::ops::Range;
 
 /// The four magic bytes opening every segment frame.
 pub const MAGIC: [u8; 4] = *b"9CSF";
@@ -1421,91 +1421,6 @@ fn parse_limited_inner<'a>(
     })
 }
 
-/// One classified byte range from a [`scan_salvage`] walk.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScanEntry<'a> {
-    /// A CRC-valid, structurally sound data segment.
-    Intact {
-        /// The parsed segment.
-        seg: ParsedSegment<'a>,
-        /// The bytes it occupies (header + payload).
-        byte_range: Range<usize>,
-    },
-    /// A CRC-valid v3 parity segment (contributes no output trits; feeds
-    /// the repair ladder).
-    Parity {
-        /// The parsed parity shard.
-        par: ParsedParity<'a>,
-        /// The bytes it occupies (header + shard).
-        byte_range: Range<usize>,
-    },
-    /// A byte range that could not be parsed as a valid segment.
-    Damaged {
-        /// The bytes written off, up to the resynchronisation point.
-        byte_range: Range<usize>,
-        /// The `source_trits` field the (untrusted) header claimed, if
-        /// the 16 header bytes were at least present.
-        claimed_source_trits: Option<usize>,
-        /// Why the range failed.
-        reason: DamageReason,
-    },
-}
-
-impl ScanEntry<'_> {
-    /// The byte range this entry covers.
-    #[must_use]
-    pub fn byte_range(&self) -> Range<usize> {
-        match self {
-            ScanEntry::Intact { byte_range, .. }
-            | ScanEntry::Parity { byte_range, .. }
-            | ScanEntry::Damaged { byte_range, .. } => byte_range.clone(),
-        }
-    }
-}
-
-/// The result of a fault-tolerant frame walk: every byte of the body
-/// classified as part of an intact segment, a parity segment or a
-/// damaged range.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SalvageScan<'a> {
-    /// Codeword lengths of C1..C9, as stored in the (CRC-valid) header.
-    pub table_lengths: [u8; 9],
-    /// Total source trits the header claims.
-    pub source_len: usize,
-    /// Data-segment count the header claims (may disagree with `entries`
-    /// when segments were spliced in or out).
-    pub claimed_segments: usize,
-    /// Data segments per parity group (0 = unprotected / v2 frame).
-    pub parity_g: u8,
-    /// Parity segments per group.
-    pub parity_r: u8,
-    /// The classified byte ranges, in stream order.
-    pub entries: Vec<ScanEntry<'a>>,
-}
-
-impl SalvageScan<'_> {
-    /// Number of intact data segments found.
-    #[must_use]
-    pub fn intact_count(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| matches!(e, ScanEntry::Intact { .. }))
-            .count()
-    }
-
-    /// Number of parity groups the header geometry implies.
-    #[must_use]
-    pub fn groups(&self) -> usize {
-        group_count(self.claimed_segments, self.parity_g)
-    }
-
-    /// Total parity segments the header geometry implies.
-    #[must_use]
-    pub fn claimed_parity_segments(&self) -> usize {
-        self.groups() * self.parity_r as usize
-    }
-}
-
 /// `true` when a segment of either kind (data, or parity if `v3`)
 /// parses CRC-valid at `at`.
 fn any_segment_parses(bytes: &[u8], at: usize, v3: bool, limits: &DecodeLimits) -> bool {
@@ -1553,33 +1468,6 @@ pub(crate) fn find_resync(
     Ok(len)
 }
 
-/// Walks a frame fault-tolerantly, classifying every body byte range as
-/// an intact segment or damage, resynchronising on the next CRC-valid
-/// segment after each damaged range.
-///
-/// The walk is driven by the input length, not the header's claimed
-/// segment count, so corrupted counts and spliced/truncated bodies still
-/// scan. The per-entry `reason` records what failed; the engine's
-/// salvage decode turns damaged ranges into X-trit erasures.
-///
-/// # Errors
-///
-/// Only file-level problems are fatal: [`FrameError::BadMagic`], a
-/// header shorter than [`HEADER_BYTES`],
-/// [`FrameError::UnsupportedVersion`], [`FrameError::BadHeaderCrc`] (the
-/// code table and totals are untrustworthy, so there is nothing sound to
-/// salvage against) and [`FrameError::LimitExceeded`] for file-level
-/// bomb claims. Segment-level damage is never an error — it becomes a
-/// [`ScanEntry::Damaged`].
-pub fn scan_salvage<'a>(
-    bytes: &'a [u8],
-    limits: &DecodeLimits,
-) -> Result<SalvageScan<'a>, FrameError> {
-    // The walk itself lives in `plan::build` now — one scan pass builds
-    // the whole decode plan, and this legacy scan shape is a view of it.
-    super::plan::build(bytes, limits, super::plan::BuildMode::Full).map(|p| p.to_scan())
-}
-
 /// Unpacks a segment's payload, attributing errors to `segment`.
 ///
 /// # Errors
@@ -1588,7 +1476,7 @@ pub fn scan_salvage<'a>(
 /// CRC already caught random corruption; this guards against a buggy or
 /// adversarial *writer*.)
 pub fn unpack_payload(seg: &ParsedSegment<'_>, segment: usize) -> Result<TritVec, FrameError> {
-    // `parse`/`scan_salvage` guarantee `payload` physically holds
+    // `parse`/`segment_at` guarantee `payload` physically holds
     // `payload_trits` packed trits, so this capacity is input-bounded.
     let mut out = TritVec::with_capacity(seg.payload_trits);
     for i in 0..seg.payload_trits {
@@ -1621,6 +1509,12 @@ pub fn unpack_payload(seg: &ParsedSegment<'_>, segment: usize) -> Result<TritVec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::plan::{self, BuildMode, FramePlan, PlanEntry};
+
+    /// The fault-tolerant walk: a full plan build.
+    fn plan_full<'a>(bytes: &'a [u8], limits: &DecodeLimits) -> Result<FramePlan<'a>, FrameError> {
+        plan::build(bytes, limits, BuildMode::Full)
+    }
 
     fn tv(s: &str) -> TritVec {
         s.parse().expect("valid trit literal")
@@ -1767,10 +1661,10 @@ mod tests {
         bytes[6] ^= 0x01;
         assert_eq!(parse(&bytes), Err(FrameError::BadHeaderCrc));
         // Salvage treats an untrustworthy header as fatal too.
-        assert_eq!(
-            scan_salvage(&bytes, &DecodeLimits::default()),
+        assert!(matches!(
+            plan_full(&bytes, &DecodeLimits::default()),
             Err(FrameError::BadHeaderCrc)
-        );
+        ));
     }
 
     #[test]
@@ -1887,7 +1781,7 @@ mod tests {
         ));
         // Salvage refuses the bomb claim under default limits too.
         assert!(matches!(
-            scan_salvage(&out, &DecodeLimits::default()),
+            plan_full(&out, &DecodeLimits::default()),
             Err(FrameError::LimitExceeded { .. })
         ));
     }
@@ -1958,7 +1852,7 @@ mod tests {
     #[test]
     fn salvage_scan_on_clean_frame_is_all_intact() {
         let bytes = sample_frame();
-        let scan = scan_salvage(&bytes, &DecodeLimits::default()).expect("clean frame scans");
+        let scan = plan_full(&bytes, &DecodeLimits::default()).expect("clean frame scans");
         assert_eq!(scan.source_len, 32);
         assert_eq!(scan.claimed_segments, 2);
         assert_eq!(scan.entries.len(), 2);
@@ -1977,22 +1871,20 @@ mod tests {
         let mut bytes = sample_frame();
         // Corrupt the first segment's payload (just past its header).
         bytes[HEADER_BYTES + SEGMENT_HEADER_BYTES] ^= 0xFF;
-        let scan = scan_salvage(&bytes, &DecodeLimits::default()).expect("scan survives");
+        let scan = plan_full(&bytes, &DecodeLimits::default()).expect("scan survives");
         assert_eq!(scan.entries.len(), 2);
         assert!(matches!(
             &scan.entries[0],
-            ScanEntry::Damaged {
-                reason: DamageReason::BadCrc,
+            PlanEntry::Damaged {
+                error: FrameError::BadCrc { segment: 0 },
                 claimed_source_trits: Some(16),
                 ..
             }
         ));
-        assert!(
-            matches!(&scan.entries[1], ScanEntry::Intact { seg, .. } if seg.source_trits == 16)
-        );
+        assert!(matches!(&scan.entries[1], PlanEntry::Data { seg, .. } if seg.source_trits == 16));
         // The damaged range covers exactly the first segment's bytes.
         let clean = sample_frame();
-        let clean_scan = scan_salvage(&clean, &DecodeLimits::default()).expect("clean");
+        let clean_scan = plan_full(&clean, &DecodeLimits::default()).expect("clean");
         assert_eq!(
             scan.entries[0].byte_range(),
             clean_scan.entries[0].byte_range()
@@ -2003,13 +1895,13 @@ mod tests {
     fn salvage_scan_handles_truncated_tail() {
         let bytes = sample_frame();
         let cut = bytes.len() - 2;
-        let scan = scan_salvage(&bytes[..cut], &DecodeLimits::default()).expect("scan survives");
+        let scan = plan_full(&bytes[..cut], &DecodeLimits::default()).expect("scan survives");
         assert_eq!(scan.intact_count(), 1);
         let last = scan.entries.last().expect("has entries");
         assert!(matches!(
             last,
-            ScanEntry::Damaged {
-                reason: DamageReason::Truncated,
+            PlanEntry::Damaged {
+                error: FrameError::Truncated { .. },
                 ..
             }
         ));
@@ -2183,17 +2075,17 @@ mod tests {
             })
         ));
         // The scan degrades it to damage rather than failing the file.
-        let scan = scan_salvage(&bomb, &limits).expect("scan survives");
+        let scan = plan_full(&bomb, &limits).expect("scan survives");
         assert!(scan
             .entries
             .iter()
-            .any(|e| matches!(e, ScanEntry::Damaged { .. })));
+            .any(|e| matches!(e, PlanEntry::Damaged { .. })));
     }
 
     #[test]
     fn v3_scan_classifies_parity_entries() {
         let bytes = sample_frame_v3();
-        let scan = scan_salvage(&bytes, &DecodeLimits::default()).expect("clean v3 scans");
+        let scan = plan_full(&bytes, &DecodeLimits::default()).expect("clean v3 scans");
         assert_eq!((scan.parity_g, scan.parity_r), (2, 1));
         assert_eq!(scan.groups(), 1);
         assert_eq!(scan.claimed_parity_segments(), 1);
@@ -2201,7 +2093,7 @@ mod tests {
         assert_eq!(scan.intact_count(), 2);
         assert!(matches!(
             &scan.entries[2],
-            ScanEntry::Parity { par, .. } if par.group == 0 && par.pindex == 0
+            PlanEntry::Parity { par, .. } if par.group == 0 && par.pindex == 0
         ));
         assert_eq!(scan.entries[2].byte_range().end, bytes.len());
     }
@@ -2211,12 +2103,12 @@ mod tests {
         let mut bytes = sample_frame_v3();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
-        let scan = scan_salvage(&bytes, &DecodeLimits::default()).expect("scan survives");
+        let scan = plan_full(&bytes, &DecodeLimits::default()).expect("scan survives");
         assert_eq!(scan.intact_count(), 2);
         let last_entry = scan.entries.last().expect("has entries");
         assert!(matches!(
             last_entry,
-            ScanEntry::Damaged {
+            PlanEntry::Damaged {
                 claimed_source_trits: Some(0),
                 ..
             }
@@ -2263,14 +2155,14 @@ mod tests {
         let mut bytes = sample_frame();
         bytes[HEADER_BYTES + SEGMENT_HEADER_BYTES] ^= 0xFF;
         // Default limits: plenty of probes, the scan resyncs.
-        assert!(scan_salvage(&bytes, &DecodeLimits::default()).is_ok());
+        assert!(plan_full(&bytes, &DecodeLimits::default()).is_ok());
         // A 1-probe budget cannot reach the next segment boundary.
         let tight = DecodeLimits {
             max_resync_probes: 1,
             ..DecodeLimits::default()
         };
         assert!(matches!(
-            scan_salvage(&bytes, &tight),
+            plan_full(&bytes, &tight),
             Err(FrameError::LimitExceeded {
                 what: "resync probes",
                 limit: 1,
@@ -2278,7 +2170,7 @@ mod tests {
             })
         ));
         // Unlimited really is unlimited.
-        assert!(scan_salvage(&bytes, &DecodeLimits::unlimited()).is_ok());
+        assert!(plan_full(&bytes, &DecodeLimits::unlimited()).is_ok());
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! Case selection is the paper's min-size greedy: it is block-local, which
 //! is exactly the property that makes segment-parallel encoding exact.
 //! (Power-aware selection tracks state across block seams and is therefore
-//! only available on the serial [`Encoder`](crate::encode::Encoder).)
+//! only available on the serial [`Encoder`].)
 //!
 //! Telemetry (default-on `obs` feature, batched at segment boundaries):
 //! per-worker queue-depth gauges, steal/segment counters and
@@ -214,7 +214,7 @@ impl EngineBuilder {
     /// `r` GF(256) Reed–Solomon parity segments, and the frame is
     /// emitted as **v3**. Up to `r` damaged segments per group can be
     /// rebuilt byte-exactly by
-    /// [`decode_frame_repair`](Engine::decode_frame_repair).
+    /// [`execute_plan`](Engine::execute_plan) at [`Policy::Repair`].
     ///
     /// `r = 0` disables parity (plain v2 frames, the default). Invalid
     /// geometry (`g = 0` with `r > 0`, or `g + r >`
@@ -571,8 +571,9 @@ impl Engine {
     ///   fails 9C decoding.
     ///
     /// Never panics on hostile input. For decode-what-you-can recovery
-    /// instead of fail-closed, see
-    /// [`decode_frame_salvage`](Engine::decode_frame_salvage).
+    /// instead of fail-closed, run [`Policy::Repair`] or
+    /// [`Policy::Salvage`] through [`build_plan`](Engine::build_plan) +
+    /// [`execute_plan`](Engine::execute_plan).
     pub fn decode_frame(&self, bytes: &[u8]) -> Result<TritVec, DecodeError> {
         let _span = ninec_obs::span("engine_decode_frame");
         // One fail-fast plan build (a single header/CRC scan pass) pins
@@ -583,7 +584,8 @@ impl Engine {
     }
 
     /// Decodes one parsed segment — the shared per-task body of
-    /// [`decode_frame`](Engine::decode_frame) and the salvage path.
+    /// [`decode_frame`](Engine::decode_frame), the repair/salvage rungs
+    /// and archive range reads.
     /// Armed [`faultpoint`]s fire here (panic/delay before the work,
     /// corrupt after), which is what makes worker panics and torn writes
     /// deterministically injectable.

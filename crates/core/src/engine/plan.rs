@@ -1,12 +1,9 @@
 //! Plan-then-execute decode pipeline: one scan pass, one ladder.
 //!
-//! Before this module, the decode ladder was structurally triplicated:
-//! strict decode ([`frame::parse_limited`]), the repair rung and salvage
-//! each re-walked segment headers and re-CRC'd payloads, so a
-//! repaired-then-salvaged frame was scanned up to three times. A
-//! [`FramePlan`] is built by **one** pass over the frame body — header
-//! parse, limits check, per-segment CRC verdict, parity membership and
-//! byte ranges — and every rung executes against it:
+//! A [`FramePlan`] is the one in-memory model of a parsed frame. It is
+//! built by **one** pass over the frame body — header parse, limits
+//! check, per-segment CRC verdict, parity membership and byte ranges —
+//! and every rung executes against it:
 //!
 //! - **strict** decodes only [`PlanEntry::Data`] entries (the CRC
 //!   verdicts are already in the plan, nothing is re-verified) and fails
@@ -16,12 +13,12 @@
 //!   no re-scan, and each rebuilt shard is parsed exactly once;
 //! - **salvage** materialises X-runs from the same entries.
 //!
-//! [`Engine::build_plan`] + [`Engine::execute_plan`] are the single
-//! entry point the decode ladder ([`crate::session::DecodeSession`], the
-//! CLI) drives: build one plan, try [`Policy::Strict`], fall back to
-//! [`Policy::Repair`] or [`Policy::Salvage`] **on the same plan** — one
-//! header/CRC pass for the whole ladder, proven by the
-//! `ninec.frame.scan_passes` counter.
+//! [`Engine::build_plan`] + [`Engine::execute_plan`] are the only way to
+//! run a rung, and the entry the decode ladder
+//! ([`crate::session::DecodeSession`], the CLI) drives: build one plan,
+//! try [`Policy::Strict`], fall back to [`Policy::Repair`] or
+//! [`Policy::Salvage`] **on the same plan** — one header/CRC pass for
+//! the whole ladder, proven by the `ninec.frame.scan_passes` counter.
 //!
 //! The strict verdict is computed *during* the walk by replaying
 //! [`frame::parse_limited`]'s checks in exactly its order (bomb check,
@@ -29,15 +26,12 @@
 //! pindex)` order, trailing bytes), so a plan-based strict decode
 //! reports byte-for-byte the same typed error the eager parser would.
 //! [`frame::parse_limited`] itself remains as the independent reference
-//! oracle — the ladder-equivalence suite diffs the two on every corpus
-//! golden and on exhaustive single-byte mutation sweeps.
+//! oracle — this module's tests diff the two verdicts on every
+//! single-byte mutation and every truncation of a v2 and a v3 frame.
 
 use crate::code::CodeTable;
 use crate::decode::DecodeError;
-use crate::engine::frame::{
-    self, DamageReason, DecodeLimits, FrameError, ParsedParity, ParsedSegment, SalvageScan,
-    ScanEntry,
-};
+use crate::engine::frame::{self, DecodeLimits, FrameError, ParsedParity, ParsedSegment};
 use crate::engine::{cancel, pool, Engine, SalvageReport};
 use ninec_testdata::trit::TritVec;
 use std::ops::Range;
@@ -107,8 +101,8 @@ pub enum PlanEntry<'a> {
         /// the 16 header bytes were at least present. Parity headers
         /// carry no source trits — their claim is zero.
         claimed_source_trits: Option<usize>,
-        /// The verbatim parse error, exactly as [`frame::segment_at`] /
-        /// [`frame::parity_at`] reported it.
+        /// The verbatim parse error, exactly as the data- or
+        /// parity-segment parser reported it.
         error: FrameError,
     },
 }
@@ -122,34 +116,6 @@ impl<'a> PlanEntry<'a> {
             | PlanEntry::OverBudget { byte_range, .. }
             | PlanEntry::Parity { byte_range, .. }
             | PlanEntry::Damaged { byte_range, .. } => byte_range.clone(),
-        }
-    }
-
-    /// The equivalent fault-tolerant scan classification.
-    fn to_scan_entry(&self) -> ScanEntry<'a> {
-        match self {
-            PlanEntry::Data { seg, byte_range } => ScanEntry::Intact {
-                seg: *seg,
-                byte_range: byte_range.clone(),
-            },
-            PlanEntry::OverBudget { seg, byte_range } => ScanEntry::Damaged {
-                byte_range: byte_range.clone(),
-                claimed_source_trits: Some(seg.source_trits),
-                reason: DamageReason::LimitExceeded("total decode allocation"),
-            },
-            PlanEntry::Parity { par, byte_range } => ScanEntry::Parity {
-                par: *par,
-                byte_range: byte_range.clone(),
-            },
-            PlanEntry::Damaged {
-                byte_range,
-                claimed_source_trits,
-                error,
-            } => ScanEntry::Damaged {
-                byte_range: byte_range.clone(),
-                claimed_source_trits: *claimed_source_trits,
-                reason: DamageReason::from_frame_error(error.clone()),
-            },
         }
     }
 }
@@ -254,20 +220,6 @@ impl<'a> FramePlan<'a> {
     #[must_use]
     pub fn claimed_parity_segments(&self) -> usize {
         self.groups() * self.parity_r as usize
-    }
-
-    /// The plan viewed as a fault-tolerant salvage scan (the legacy
-    /// [`frame::scan_salvage`] shape — now a thin view over the plan).
-    #[must_use]
-    pub(crate) fn to_scan(&self) -> SalvageScan<'a> {
-        SalvageScan {
-            table_lengths: self.table_lengths,
-            source_len: self.source_len,
-            claimed_segments: self.claimed_segments,
-            parity_g: self.parity_g,
-            parity_r: self.parity_r,
-            entries: self.entries.iter().map(PlanEntry::to_scan_entry).collect(),
-        }
     }
 }
 
@@ -743,17 +695,37 @@ pub(crate) fn execute_strict(
     if let Some(e) = &plan.strict_error {
         return Err(e.clone().into());
     }
-    let table = CodeTable::from_lengths(&plan.table_lengths).map_err(|_| FrameError::BadTable)?;
     // A strictly valid plan is exactly `n` data entries followed by the
     // parity segments, so the data ordinal equals the segment index.
-    let segs: Vec<&ParsedSegment<'_>> = plan
+    let segs: Vec<ParsedSegment<'_>> = plan
         .entries
         .iter()
         .filter_map(|e| match e {
-            PlanEntry::Data { seg, .. } => Some(seg),
+            PlanEntry::Data { seg, .. } => Some(*seg),
             _ => None,
         })
         .collect();
+    let trits = decode_segments(engine, &plan.table_lengths, &segs, plan.source_len)?;
+    Ok(SalvageReport {
+        trits,
+        recovered_segments: segs.len(),
+        total_segments: segs.len(),
+        damaged: Vec::new(),
+    })
+}
+
+/// The decode-and-merge half of the strict rung, shared with the
+/// archive's range reads: decodes CRC-verified, budget-charged segments
+/// concurrently (segment `i` of `segs` is decoded and attributed as
+/// segment `i`) and concatenates their trits in order. Fails closed on
+/// the first failing segment, a worker panic or cancellation.
+pub(crate) fn decode_segments(
+    engine: &Engine,
+    table_lengths: &[u8; 9],
+    segs: &[ParsedSegment<'_>],
+    source_len: usize,
+) -> Result<TritVec, DecodeError> {
+    let table = CodeTable::from_lengths(table_lengths).map_err(|_| FrameError::BadTable)?;
     let results =
         pool::cancellable_map_indexed(engine.threads(), segs.len(), engine.cancel(), |i| {
             let _seg_span = ninec_obs::trace_span_scope(
@@ -761,7 +733,7 @@ pub(crate) fn execute_strict(
                 u32::try_from(i).unwrap_or(u32::MAX),
                 ninec_obs::TracePayload::None,
             );
-            engine.decode_one_segment(segs[i], i, &table)
+            engine.decode_one_segment(&segs[i], i, &table)
         });
     let mut parts = Vec::with_capacity(results.len());
     let mut first_err: Option<DecodeError> = None;
@@ -799,23 +771,16 @@ pub(crate) fn execute_strict(
     if let Some(e) = first_err {
         return Err(e);
     }
-    let total = parts.len();
     // A one-segment frame's trits are the whole stream: no copy.
-    let trits = match <[TritVec; 1]>::try_from(parts) {
+    Ok(match <[TritVec; 1]>::try_from(parts) {
         Ok([only]) => only,
         Err(parts) => {
-            let mut trits = TritVec::with_capacity(plan.source_len);
+            let mut trits = TritVec::with_capacity(source_len);
             for seg_out in &parts {
                 trits.extend_from_tritvec(seg_out);
             }
             trits
         }
-    };
-    Ok(SalvageReport {
-        trits,
-        recovered_segments: total,
-        total_segments: total,
-        damaged: Vec::new(),
     })
 }
 
@@ -841,10 +806,14 @@ impl Engine {
     /// Executes one rung of the decode ladder against a plan built by
     /// [`build_plan`](Engine::build_plan) — without re-scanning the
     /// frame. [`Policy::Strict`] fails closed exactly like
-    /// [`decode_frame`](Engine::decode_frame); [`Policy::Repair`] and
-    /// [`Policy::Salvage`] behave like
-    /// [`decode_frame_repair`](Engine::decode_frame_repair) /
-    /// [`decode_frame_salvage`](Engine::decode_frame_salvage).
+    /// [`decode_frame`](Engine::decode_frame). [`Policy::Repair`] rebuilds
+    /// damaged v3 segments from parity (byte-exact, each rebuild
+    /// re-verified against its own CRC) and erases to `X` what parity
+    /// cannot reach; [`Policy::Salvage`] skips parity and erases every
+    /// damaged range. Segment-level problems — bad CRCs, truncated
+    /// tails, malformed or limit-busting headers, payloads that fail 9C
+    /// decoding, a worker panic — become damage-map entries, and the
+    /// report's `trits` is always exactly the header's `source_len` long.
     ///
     /// # Errors
     ///
@@ -1010,20 +979,20 @@ mod tests {
     }
 
     #[test]
-    fn scan_view_classifies_like_the_plan() {
+    fn damaged_entry_keeps_the_verbatim_error() {
         let stream = sample_stream();
         let e = v3_engine(4, 1);
         let bytes = e.encode_frame(8, &stream).expect("valid K");
         let mut bad = bytes.clone();
         bad[HEADER_BYTES_V3 + SEGMENT_HEADER_BYTES] ^= 0x55;
         let plan = e.build_plan(&bad).expect("plans");
-        let scan = plan.to_scan();
-        assert_eq!(scan.entries.len(), plan.entries().len());
-        assert_eq!(scan.intact_count(), plan.intact_count());
+        let clean = e.build_plan(&bytes).expect("plans");
+        assert_eq!(plan.entries().len(), clean.entries().len());
+        assert_eq!(plan.intact_count() + 1, clean.intact_count());
         assert!(matches!(
-            scan.entries[0],
-            ScanEntry::Damaged {
-                reason: DamageReason::BadCrc,
+            plan.entries()[0],
+            PlanEntry::Damaged {
+                error: FrameError::BadCrc { segment: 0 },
                 ..
             }
         ));

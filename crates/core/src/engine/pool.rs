@@ -1,15 +1,15 @@
 //! The engine's segment pool: a thin, single-priority facade over the
-//! reusable priority executor in [`exec`](super::exec).
+//! reusable priority executor in [`exec`].
 //!
 //! The engine's unit of work is a *segment index*: all jobs are known up
 //! front, none spawns new ones, and every job writes exactly one result
 //! slot. Historically this module carried the whole work-stealing pool;
 //! the scheduling core (per-worker deques seeded round-robin, LIFO owner
 //! pops, FIFO steals, scoped threads, `catch_unwind` isolation, serial
-//! in-caller fallback) now lives in [`exec`](super::exec) so that
+//! in-caller fallback) now lives in [`exec`] so that
 //! repair/salvage backfill — and, later, `ninec-serve` connections — can
 //! share it with two-level job priorities. Everything here schedules at
-//! [`Priority::High`](super::exec::Priority::High).
+//! [`Priority::High`].
 //!
 //! Determinism: results are keyed by job index and collected in index
 //! order, so the output of [`map_indexed`] is independent of how the jobs

@@ -1,6 +1,6 @@
 //! Bounded-memory streaming `9CSF` frame ingestion.
 //!
-//! [`FrameReader`] pulls a frame incrementally from any [`io::Read`] —
+//! [`FrameReader`] pulls a frame incrementally from any [`io::Read`](std::io::Read) —
 //! a pipe, a socket, a file too large to map — and yields one
 //! [`StreamItem`] per segment without ever materializing the whole
 //! frame. Memory is bounded by the [`DecodeLimits`]: the internal
@@ -29,7 +29,7 @@
 //! Repair needs random access to a whole parity group, whose members
 //! are interleaved across the entire frame — so the streaming path
 //! offers strict decode only. For the repair/salvage rungs, buffer the
-//! frame and use [`Engine::decode_frame_repair`].
+//! frame and run [`Engine::build_plan`] + [`Engine::execute_plan`].
 
 use crate::code::CodeTable;
 use crate::decode::DecodeError;
@@ -598,7 +598,7 @@ fn damage_reason(e: &FrameError) -> DamageReason {
 }
 
 impl Engine {
-    /// Decodes a `9CSF` frame **strictly** from any [`io::Read`] source
+    /// Decodes a `9CSF` frame **strictly** from any [`io::Read`](std::io::Read) source
     /// without materializing the frame: segments stream through a
     /// bounded window ([`DecodeLimits::max_shard_bytes`] + one chunk)
     /// and decode in thread-count batches on the pool. The output is
@@ -607,9 +607,9 @@ impl Engine {
     ///
     /// Parity segments of v3 frames are validated for order and skipped
     /// — streaming cannot repair (parity groups interleave across the
-    /// whole frame); buffer the bytes and use
-    /// [`decode_frame_repair`](Engine::decode_frame_repair) for the
-    /// ladder.
+    /// whole frame); buffer the bytes and run
+    /// [`build_plan`](Engine::build_plan) +
+    /// [`execute_plan`](Engine::execute_plan) for the ladder.
     ///
     /// # Errors
     ///

@@ -8,45 +8,45 @@
 //! desynchronises everything downstream. The decode ladder therefore
 //! degrades in two steps:
 //!
-//! 1. **Repair** ([`Engine::decode_frame_repair`], v3 frames): the
-//!    CRC-verified salvage scan pins down exactly which segments are
-//!    damaged — *erasure positions*, the easy half of Reed–Solomon
-//!    decoding. Each parity group rebuilds up to `r` erased member
-//!    segments byte-exactly over GF(256)
-//!    ([`crate::engine::ecc::ParityCoder`]), every reconstructed segment
-//!    is re-verified against its own CRC before acceptance, and repaired
-//!    segments decode in parallel on the same panic-isolated pool as
-//!    intact ones. Their damage-map entries carry
+//! 1. **Repair** ([`Policy::Repair`], v3 frames): the plan's
+//!    CRC verdicts pin down exactly which segments are damaged —
+//!    *erasure positions*, the easy half of Reed–Solomon decoding. Each
+//!    parity group rebuilds up to `r` erased member segments byte-exactly
+//!    over GF(256) ([`crate::engine::ecc::ParityCoder`]), every
+//!    reconstructed segment is re-verified against its own CRC before
+//!    acceptance, and repaired segments decode in parallel on the same
+//!    panic-isolated pool as intact ones. Their damage-map entries carry
 //!    [`DamageReason::RepairedBy`] — informational, not loss.
-//! 2. **Salvage** (always available): whatever repair could not
-//!    reconstruct — over-budget erasures, v2 frames, groups whose parity
-//!    itself died — is resynchronised past and materialised as `X`-trit
-//!    erasure runs at block-aligned offsets, in the spirit of the
-//!    X-tolerant compaction line (Fujiwara & Colbourn's combinatorial
-//!    X-codes): corrupted values become erasures to localise, never
-//!    silent wrong bits.
+//! 2. **Salvage** ([`Policy::Salvage`], always available): whatever
+//!    repair could not reconstruct — over-budget erasures, v2 frames,
+//!    groups whose parity itself died — is resynchronised past and
+//!    materialised as `X`-trit erasure runs at block-aligned offsets, in
+//!    the spirit of the X-tolerant compaction line (Fujiwara & Colbourn's
+//!    combinatorial X-codes): corrupted values become erasures to
+//!    localise, never silent wrong bits.
 //!
 //! The file header itself must be sound (magic, version, header CRC,
 //! non-bomb claims): with an untrustworthy code table or total length
 //! there is nothing sound to salvage against, so those remain hard
 //! errors — as does a Kraft-invalid stored table.
 //!
-//! Both rungs execute against a [`FramePlan`] built in **one**
-//! header/CRC scan pass ([`Engine::build_plan`]);
-//! [`Engine::decode_frame_repair`] and
-//! [`Engine::decode_frame_salvage`] are thin wrappers over
-//! [`Engine::execute_plan`](Engine::execute_plan). Work is scheduled on
-//! the two-level priority executor: intact-segment decodes run at
-//! [`Priority::High`] (they are needed at every rung), parity
-//! reconstruction of damaged groups backfills at [`Priority::Low`], and
-//! rebuilt segments decode in a short follow-up batch.
+//! Both rungs read the [`FramePlan`] built in **one** header/CRC scan
+//! pass ([`Engine::build_plan`]) and run through
+//! [`Engine::execute_plan`]. Work is scheduled on the two-level priority
+//! executor: intact-segment decodes run at [`Priority::High`] (they are
+//! needed at every rung), parity reconstruction of damaged groups
+//! backfills at [`Priority::Low`], and rebuilt segments decode in a short
+//! follow-up batch.
+//!
+//! [`Policy::Repair`]: crate::engine::plan::Policy::Repair
+//! [`Policy::Salvage`]: crate::engine::plan::Policy::Salvage
 
 use crate::code::CodeTable;
 use crate::decode::DecodeError;
 use crate::engine::ecc::ParityCoder;
 use crate::engine::exec::{self, Priority};
-use crate::engine::frame::{self, DamageReason, ParsedParity, ScanEntry};
-use crate::engine::plan::{BuildMode, FramePlan};
+use crate::engine::frame::{self, DamageReason, ParsedParity};
+use crate::engine::plan::{FramePlan, PlanEntry};
 use crate::engine::{pool, Engine};
 use ninec_testdata::trit::{Trit, TritVec};
 use std::collections::HashMap;
@@ -55,7 +55,7 @@ use std::ops::Range;
 /// One damaged (or repaired) region of a salvaged frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DamagedSegment {
-    /// Position of the region in the scan walk (segment index for
+    /// Position of the region in the plan's entry walk (segment index for
     /// frames whose structure survived).
     pub index: usize,
     /// The frame bytes written off (or, for a repaired segment, the
@@ -78,7 +78,7 @@ pub struct SalvageReport {
     pub trits: TritVec,
     /// Segments recovered byte-identically (intact + repaired).
     pub recovered_segments: usize,
-    /// Total scan entries contributing output (recovered + damaged).
+    /// Total plan entries contributing output (recovered + damaged).
     pub total_segments: usize,
     /// The damage map, in stream order. Entries whose reason is
     /// [`DamageReason::RepairedBy`] are informational — their trits are
@@ -109,7 +109,7 @@ impl SalvageReport {
     }
 }
 
-/// What one scan entry contributes to the output.
+/// What one plan entry contributes to the output.
 enum Plan<'a> {
     /// Decode this segment (intact on the wire, or rebuilt from parity
     /// when `repaired` is set).
@@ -181,7 +181,7 @@ fn resolve_erasures(claims: &[Option<usize>], remaining: usize) -> Vec<usize> {
 /// CRC-verified header fields (parsed exactly once, at reconstruction
 /// time) and the provenance to report.
 struct Rebuilt {
-    /// Scan-entry index (== data-segment index when the structure
+    /// Plan-entry index (== data-segment index when the structure
     /// survived) the shard replaces.
     entry: usize,
     /// The reconstructed segment bytes (header + payload + zero pad).
@@ -215,16 +215,46 @@ impl Rebuilt {
     }
 }
 
+/// `true` for the entries the repair and salvage rungs erase: damaged
+/// byte ranges, and CRC-valid segments whose decode would bust the
+/// allocation budget.
+fn is_erased(entry: &PlanEntry<'_>) -> bool {
+    matches!(
+        entry,
+        PlanEntry::Damaged { .. } | PlanEntry::OverBudget { .. }
+    )
+}
+
+/// The source-trit claim an erased entry's (untrusted) header makes.
+fn erased_claim(entry: &PlanEntry<'_>) -> Option<usize> {
+    match entry {
+        PlanEntry::Damaged {
+            claimed_source_trits,
+            ..
+        } => *claimed_source_trits,
+        PlanEntry::OverBudget { seg, .. } => Some(seg.source_trits),
+        PlanEntry::Data { .. } | PlanEntry::Parity { .. } => None,
+    }
+}
+
+/// Why an erased entry is reported as damage.
+fn erased_reason(entry: &PlanEntry<'_>) -> DamageReason {
+    match entry {
+        PlanEntry::Damaged { error, .. } => DamageReason::from_frame_error(error.clone()),
+        _ => DamageReason::LimitExceeded("total decode allocation"),
+    }
+}
+
 /// Precomputed repair-rung structure: the positional parity table and
 /// the group coder. `None` when repair cannot run soundly.
 ///
-/// Repair only runs when the scan's structure is **unambiguous**:
+/// Repair only runs when the plan's structure is **unambiguous**:
 /// exactly `claimed_segments + claimed_parity_segments` entries, so
 /// entry position maps 1:1 onto segment position and the erasure
 /// positions are certain. Anything else (merged damage ranges, spliced
 /// frames) falls through to plain salvage — repair must never guess.
 struct RepairCtx<'s, 'a> {
-    scan: &'s frame::SalvageScan<'a>,
+    entries: &'s [PlanEntry<'a>],
     /// Entry `n + q*r + j` should be parity `(q, j)`. Mis-labelled or
     /// damaged parity slots are simply absent.
     parity_slots: Vec<Option<&'s ParsedParity<'a>>>,
@@ -235,18 +265,19 @@ struct RepairCtx<'s, 'a> {
     groups: usize,
 }
 
-fn repair_context<'s, 'a>(scan: &'s frame::SalvageScan<'a>) -> Option<RepairCtx<'s, 'a>> {
-    let n = scan.claimed_segments;
-    let p = scan.claimed_parity_segments();
-    let g = scan.parity_g as usize;
-    let r = scan.parity_r as usize;
-    let groups = scan.groups();
-    if r == 0 || groups == 0 || scan.entries.len() != n + p {
+fn repair_context<'s, 'a>(plan: &'s FramePlan<'a>) -> Option<RepairCtx<'s, 'a>> {
+    let n = plan.claimed_segments;
+    let p = plan.claimed_parity_segments();
+    let g = plan.parity_g as usize;
+    let r = plan.parity_r as usize;
+    let groups = plan.groups();
+    let entries = plan.entries();
+    if r == 0 || groups == 0 || entries.len() != n + p {
         return None;
     }
     let mut parity_slots: Vec<Option<&ParsedParity<'_>>> = vec![None; p];
-    for (slot, entry) in scan.entries[n..].iter().enumerate() {
-        if let ScanEntry::Parity { par, .. } = entry {
+    for (slot, entry) in entries[n..].iter().enumerate() {
+        if let PlanEntry::Parity { par, .. } = entry {
             if par.group == slot / r && par.pindex == slot % r {
                 parity_slots[slot] = Some(par);
             }
@@ -255,7 +286,7 @@ fn repair_context<'s, 'a>(scan: &'s frame::SalvageScan<'a>) -> Option<RepairCtx<
     // Header geometry was already validated; stay total anyway.
     let coder = ParityCoder::new(g, r).ok()?;
     Some(RepairCtx {
-        scan,
+        entries,
         parity_slots,
         coder,
         n,
@@ -276,7 +307,7 @@ fn repair_group(
     limits: &frame::DecodeLimits,
 ) -> (Vec<Rebuilt>, u64) {
     let (n, g, r, groups) = (ctx.n, ctx.g, ctx.r, ctx.groups);
-    let scan = ctx.scan;
+    let entries = ctx.entries;
     let mut rebuilt = Vec::new();
     let mut failures = 0u64;
     // Member entry indices of this group, in shard-slot order.
@@ -295,10 +326,7 @@ fn repair_group(
         }
     }
     let (Some(shard_len), true) = (shard_len, consistent) else {
-        failures += members
-            .iter()
-            .filter(|&&m| matches!(scan.entries[m], ScanEntry::Damaged { .. }))
-            .count() as u64;
+        failures += members.iter().filter(|&&m| is_erased(&entries[m])).count() as u64;
         return (rebuilt, failures);
     };
     // Assemble the g + r shard slots: real members (intact = present,
@@ -314,20 +342,20 @@ fn repair_group(
             slots.push(Some(&[])); // virtual zero member
             continue;
         }
-        match &scan.entries[idx] {
-            ScanEntry::Intact { byte_range, .. } => {
+        match &entries[idx] {
+            PlanEntry::Data { byte_range, .. } => {
                 if byte_range.len() > shard_len {
                     sane = false;
                 }
-                // Scan byte ranges always index the scanned bytes;
+                // Plan byte ranges always index the planned bytes;
                 // `get` keeps this total regardless.
                 slots.push(bytes.get(byte_range.clone()));
             }
-            ScanEntry::Damaged { .. } => {
+            PlanEntry::Damaged { .. } | PlanEntry::OverBudget { .. } => {
                 erased += 1;
                 slots.push(None);
             }
-            ScanEntry::Parity { .. } => sane = false, // impossible slot
+            PlanEntry::Parity { .. } => sane = false, // impossible slot
         }
     }
     for par in &group_parity {
@@ -371,61 +399,6 @@ fn repair_group(
     (rebuilt, failures)
 }
 
-impl Engine {
-    /// Decodes a `9CSF` frame in **salvage mode**: every intact segment
-    /// is recovered byte-identically (decoded in parallel on the
-    /// panic-isolated pool), every damaged byte range is skipped,
-    /// resynchronised past, and materialised as an `X`-trit erasure run
-    /// at its block-aligned offset. The report's `trits` is always
-    /// exactly the header's `source_len` trits long. No parity
-    /// reconstruction is attempted — see
-    /// [`decode_frame_repair`](Engine::decode_frame_repair) for the full
-    /// ladder.
-    ///
-    /// Segment-level problems — bad CRCs, truncated tails, malformed or
-    /// limit-busting headers, payloads that fail 9C decoding, even a
-    /// worker panic — become [`DamagedSegment`] entries, never errors.
-    ///
-    /// # Errors
-    ///
-    /// Only file-level problems fail the salvage: bad magic, a header
-    /// shorter than [`frame::HEADER_BYTES`], an unsupported version, a
-    /// file-header CRC mismatch ([`DecodeError::Frame`]), a Kraft-invalid
-    /// stored table, or file-level [`DecodeError::LimitExceeded`] bombs
-    /// (including an exhausted
-    /// [`max_resync_probes`](frame::DecodeLimits::max_resync_probes)
-    /// budget). Never panics on hostile input.
-    pub fn decode_frame_salvage(&self, bytes: &[u8]) -> Result<SalvageReport, DecodeError> {
-        let _span = ninec_obs::span("engine_decode_frame_salvage");
-        let built = crate::engine::plan::build(bytes, self.limits(), BuildMode::Full)
-            .map_err(DecodeError::from)?;
-        execute(self, &built, false)
-    }
-
-    /// Decodes a `9CSF` frame through the **repair rung** of the ladder:
-    /// like [`decode_frame_salvage`](Engine::decode_frame_salvage), but
-    /// v3 parity groups first rebuild up to `r` damaged member segments
-    /// per group byte-exactly (GF(256) Reed–Solomon erasure decoding at
-    /// the CRC-certified erasure positions, each reconstruction
-    /// re-verified against the segment's own CRC before acceptance).
-    /// Repaired segments decode in parallel alongside intact ones and
-    /// appear in the damage map as [`DamageReason::RepairedBy`] — only
-    /// what repair could not reconstruct is erased to `X`.
-    ///
-    /// On v2 (or parity-free v3) frames this is exactly salvage.
-    ///
-    /// # Errors
-    ///
-    /// Same file-level failures as
-    /// [`decode_frame_salvage`](Engine::decode_frame_salvage).
-    pub fn decode_frame_repair(&self, bytes: &[u8]) -> Result<SalvageReport, DecodeError> {
-        let _span = ninec_obs::span("engine_decode_frame_repair");
-        let built = crate::engine::plan::build(bytes, self.limits(), BuildMode::Full)
-            .map_err(DecodeError::from)?;
-        execute(self, &built, true)
-    }
-}
-
 /// The first executor run's per-job outcome: an intact segment's decode
 /// (High priority) or one parity group's reconstruction (Low priority).
 enum StageOut {
@@ -444,10 +417,10 @@ pub(crate) fn execute(
     repair: bool,
 ) -> Result<SalvageReport, DecodeError> {
     let bytes = plan.bytes();
-    let scan = plan.to_scan();
+    let entries = plan.entries();
     let table =
-        CodeTable::from_lengths(&scan.table_lengths).map_err(|_| frame::FrameError::BadTable)?;
-    let source_len = scan.source_len;
+        CodeTable::from_lengths(&plan.table_lengths).map_err(|_| frame::FrameError::BadTable)?;
+    let source_len = plan.source_len;
     let limits = engine.limits();
 
     // Stage 1, one prioritized executor run: intact-segment decodes at
@@ -460,28 +433,25 @@ pub(crate) fn execute(
     let mut intact: Vec<(usize, frame::ParsedSegment<'_>)> = Vec::new();
     {
         let mut ordinal = 0usize;
-        for entry in &scan.entries {
+        for entry in entries {
             match entry {
-                ScanEntry::Intact { seg, .. } => {
+                PlanEntry::Data { seg, .. } => {
                     intact.push((ordinal, *seg));
                     ordinal += 1;
                 }
-                ScanEntry::Damaged { .. } => ordinal += 1,
-                ScanEntry::Parity { .. } => {}
+                PlanEntry::Damaged { .. } | PlanEntry::OverBudget { .. } => ordinal += 1,
+                PlanEntry::Parity { .. } => {}
             }
         }
     }
-    let ctx = if repair && scan.parity_g > 0 {
-        repair_context(&scan)
+    let ctx = if repair && plan.parity_g > 0 {
+        repair_context(plan)
     } else {
         None
     };
     let damaged_groups: Vec<usize> = match &ctx {
         Some(c) => (0..c.groups)
-            .filter(|&q| {
-                frame::group_members(q, c.n, c.groups)
-                    .any(|m| matches!(c.scan.entries[m], ScanEntry::Damaged { .. }))
-            })
+            .filter(|&q| frame::group_members(q, c.n, c.groups).any(|m| is_erased(&c.entries[m])))
             .collect(),
         None => Vec::new(),
     };
@@ -567,29 +537,23 @@ pub(crate) fn execute(
 
     // Trusted lengths: intact + repaired segments. Untrusted:
     // unrepaired damaged claims.
-    let intact_sum: usize = scan
-        .entries
+    let intact_sum: usize = entries
         .iter()
         .enumerate()
         .filter_map(|(i, e)| match e {
-            ScanEntry::Intact { seg, .. } => Some(seg.source_trits),
-            ScanEntry::Damaged { .. } => repaired_at.get(&i).map(|rb| rb.source_trits),
-            ScanEntry::Parity { .. } => None,
+            PlanEntry::Data { seg, .. } => Some(seg.source_trits),
+            PlanEntry::Damaged { .. } | PlanEntry::OverBudget { .. } => {
+                repaired_at.get(&i).map(|rb| rb.source_trits)
+            }
+            PlanEntry::Parity { .. } => None,
         })
         .fold(0usize, |a, b| a.saturating_add(b));
     let remaining = source_len.saturating_sub(intact_sum);
-    let claims: Vec<Option<usize>> = scan
-        .entries
+    let claims: Vec<Option<usize>> = entries
         .iter()
         .enumerate()
-        .filter_map(|(i, e)| match e {
-            ScanEntry::Intact { .. } | ScanEntry::Parity { .. } => None,
-            ScanEntry::Damaged { .. } if repaired_at.contains_key(&i) => None,
-            ScanEntry::Damaged {
-                claimed_source_trits,
-                ..
-            } => Some(*claimed_source_trits),
-        })
+        .filter(|(i, e)| is_erased(e) && !repaired_at.contains_key(i))
+        .map(|(_, e)| erased_claim(e))
         .collect();
     let erase_lens = resolve_erasures(&claims, remaining);
 
@@ -597,12 +561,12 @@ pub(crate) fn execute(
     // entry that would overshoot (duplicated/spliced segments) is
     // erased and reported as a header mismatch rather than silently
     // growing the output. Intact parity segments contribute nothing.
-    let mut plans: Vec<Plan<'_>> = Vec::with_capacity(scan.entries.len() + 1);
+    let mut plans: Vec<Plan<'_>> = Vec::with_capacity(entries.len() + 1);
     let mut offset = 0usize;
     let mut erase_iter = erase_lens.into_iter();
-    for (i, entry) in scan.entries.iter().enumerate() {
+    for (i, entry) in entries.iter().enumerate() {
         match entry {
-            ScanEntry::Intact { seg, byte_range } => {
+            PlanEntry::Data { seg, byte_range } => {
                 let want = seg.source_trits;
                 if offset.saturating_add(want) <= source_len {
                     plans.push(Plan::Decode {
@@ -625,10 +589,8 @@ pub(crate) fn execute(
                     offset += take;
                 }
             }
-            ScanEntry::Parity { .. } => {}
-            ScanEntry::Damaged {
-                byte_range, reason, ..
-            } => {
+            PlanEntry::Parity { .. } => {}
+            PlanEntry::Damaged { byte_range, .. } | PlanEntry::OverBudget { byte_range, .. } => {
                 if let Some(rb) = repaired_at.get(&i) {
                     let want = rb.source_trits;
                     if offset.saturating_add(want) <= source_len {
@@ -647,7 +609,7 @@ pub(crate) fn execute(
                 let take = want.min(source_len - offset);
                 plans.push(Plan::Erase {
                     byte_range: byte_range.clone(),
-                    reason: reason.clone(),
+                    reason: erased_reason(entry),
                     trits: take,
                 });
                 offset += take;
@@ -657,12 +619,11 @@ pub(crate) fn execute(
     if offset < source_len {
         // The body covers fewer trits than the trusted total — a
         // boundary truncation or excised segments. Erase the tail.
-        let data_entries = scan
-            .entries
+        let data_entries = entries
             .iter()
-            .filter(|e| !matches!(e, ScanEntry::Parity { .. }))
+            .filter(|e| !matches!(e, PlanEntry::Parity { .. }))
             .count();
-        let reason = if data_entries < scan.claimed_segments {
+        let reason = if data_entries < plan.claimed_segments {
             DamageReason::Truncated
         } else {
             DamageReason::HeaderMismatch(
@@ -830,7 +791,22 @@ pub(crate) fn execute(
 mod tests {
     use super::*;
     use crate::engine::frame::{HEADER_BYTES, HEADER_BYTES_V3};
+    use crate::engine::plan::Policy;
     use crate::engine::Engine;
+
+    /// One ladder rung through the plan entry point.
+    fn rung(e: &Engine, bytes: &[u8], policy: Policy) -> Result<SalvageReport, DecodeError> {
+        e.build_plan(bytes)
+            .and_then(|plan| e.execute_plan(&plan, policy))
+    }
+
+    fn salvage(e: &Engine, bytes: &[u8]) -> Result<SalvageReport, DecodeError> {
+        rung(e, bytes, Policy::Salvage)
+    }
+
+    fn repair(e: &Engine, bytes: &[u8]) -> Result<SalvageReport, DecodeError> {
+        rung(e, bytes, Policy::Repair)
+    }
 
     fn tv(s: &str) -> TritVec {
         s.parse().expect("valid trit literal")
@@ -865,7 +841,7 @@ mod tests {
         let stream = sample_stream();
         let e = engine();
         let frame_bytes = e.encode_frame(8, &stream).expect("valid K");
-        let report = e.decode_frame_salvage(&frame_bytes).expect("salvages");
+        let report = salvage(&e, &frame_bytes).expect("salvages");
         assert!(report.is_full_recovery());
         assert_eq!(report.recovered_segments, report.total_segments);
         assert_eq!(report.trits, e.decode_frame(&frame_bytes).expect("decodes"));
@@ -881,7 +857,7 @@ mod tests {
         // Corrupt the first segment's first payload byte.
         let mut bad = frame_bytes.clone();
         bad[HEADER_BYTES + frame::SEGMENT_HEADER_BYTES] ^= 0x55;
-        let report = e.decode_frame_salvage(&bad).expect("salvages");
+        let report = salvage(&e, &bad).expect("salvages");
         assert!(!report.is_full_recovery());
         assert_eq!(report.damaged.len(), 1);
         assert_eq!(report.trits.len(), stream.len());
@@ -909,9 +885,7 @@ mod tests {
         let e = engine();
         let frame_bytes = e.encode_frame(8, &stream).expect("valid K");
         let cut = frame_bytes.len() - 3;
-        let report = e
-            .decode_frame_salvage(&frame_bytes[..cut])
-            .expect("salvages");
+        let report = salvage(&e, &frame_bytes[..cut]).expect("salvages");
         assert_eq!(report.trits.len(), stream.len());
         assert!(!report.is_full_recovery());
         let last = report.damaged.last().expect("damage recorded");
@@ -931,9 +905,7 @@ mod tests {
         let last_seg_bytes =
             frame::SEGMENT_HEADER_BYTES + parsed.segments.last().expect("nonempty").payload.len();
         let cut = frame_bytes.len() - last_seg_bytes;
-        let report = e
-            .decode_frame_salvage(&frame_bytes[..cut])
-            .expect("salvages");
+        let report = salvage(&e, &frame_bytes[..cut]).expect("salvages");
         assert_eq!(report.trits.len(), stream.len());
         let last = report.damaged.last().expect("tail damage recorded");
         assert_eq!(last.reason, DamageReason::Truncated);
@@ -950,7 +922,7 @@ mod tests {
         let mut bad = frame_bytes.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0xFF;
-        let report = e.decode_frame_salvage(&bad).expect("salvages");
+        let report = salvage(&e, &bad).expect("salvages");
         assert_eq!(report.recovered_segments, 0);
         assert_eq!(report.trits.len(), stream.len());
         assert!((0..report.trits.len()).all(|i| report.trits.get(i).is_some_and(|t| t.is_x())));
@@ -963,11 +935,11 @@ mod tests {
         let mut frame_bytes = e.encode_frame(8, &stream).expect("valid K");
         frame_bytes[7] ^= 0x01; // a code-length byte, covered by header CRC
         assert!(matches!(
-            e.decode_frame_salvage(&frame_bytes),
+            salvage(&e, &frame_bytes),
             Err(DecodeError::Frame(frame::FrameError::BadHeaderCrc))
         ));
         assert!(matches!(
-            e.decode_frame_salvage(b"junk"),
+            salvage(&e, b"junk"),
             Err(DecodeError::Frame(frame::FrameError::BadMagic))
         ));
     }
@@ -1007,12 +979,12 @@ mod tests {
         bad[seg_payload_at(HEADER_BYTES_V3, payload_len, 1)] ^= 0x55;
 
         // Salvage alone erases it...
-        let salvage = e.decode_frame_salvage(&bad).expect("salvages");
+        let salvage = salvage(&e, &bad).expect("salvages");
         assert!(!salvage.is_full_recovery());
         assert_eq!(salvage.damaged[0].reason, DamageReason::BadCrc);
 
         // ...the repair rung rebuilds it bit-exactly.
-        let report = e.decode_frame_repair(&bad).expect("repairs");
+        let report = repair(&e, &bad).expect("repairs");
         assert!(report.is_full_recovery(), "repair must be full recovery");
         assert_eq!(report.trits, clean, "repaired output is bit-exact");
         assert_eq!(report.repaired_segments(), 1);
@@ -1041,7 +1013,7 @@ mod tests {
         for i in 0..parsed.segments.len() {
             let mut bad = frame_bytes.clone();
             bad[seg_payload_at(HEADER_BYTES_V3, payload_len, i)] ^= 0xFF;
-            let report = e.decode_frame_repair(&bad).expect("repairs");
+            let report = repair(&e, &bad).expect("repairs");
             assert!(report.is_full_recovery(), "segment {i} repairs");
             assert_eq!(report.trits, clean, "segment {i} bit-exact");
             assert_eq!(report.repaired_segments(), 1, "segment {i}");
@@ -1060,7 +1032,7 @@ mod tests {
         let mut bad = frame_bytes.clone();
         bad[seg_payload_at(HEADER_BYTES_V3, payload_len, 0)] ^= 0x55;
         bad[seg_payload_at(HEADER_BYTES_V3, payload_len, 2)] ^= 0x55;
-        let report = e.decode_frame_repair(&bad).expect("falls back to salvage");
+        let report = repair(&e, &bad).expect("falls back to salvage");
         assert!(!report.is_full_recovery());
         assert_eq!(report.repaired_segments(), 0);
         // Both damaged ranges are X-erased; everything else matches.
@@ -1088,8 +1060,8 @@ mod tests {
         let last = bad.len() - 1;
         bad[last] ^= 0x55;
         for report in [
-            e.decode_frame_repair(&bad).expect("repairs"),
-            e.decode_frame_salvage(&bad).expect("salvages"),
+            repair(&e, &bad).expect("repairs"),
+            salvage(&e, &bad).expect("salvages"),
         ] {
             // The decoded data is bit-exact; the dead parity shard covers
             // zero output trits, so this still counts as full recovery.
@@ -1118,7 +1090,7 @@ mod tests {
         bad[seg_payload_at(HEADER_BYTES_V3, payload_len, 0)] ^= 0x55;
         let last = bad.len() - 1; // final parity shard = last group's
         bad[last] ^= 0x55;
-        let report = e.decode_frame_repair(&bad).expect("repairs");
+        let report = repair(&e, &bad).expect("repairs");
         assert_eq!(report.trits, clean);
         assert!(report.is_full_recovery());
         assert_eq!(report.repaired_segments(), 1);
@@ -1131,8 +1103,8 @@ mod tests {
         let frame_bytes = e.encode_frame(8, &stream).expect("valid K");
         let mut bad = frame_bytes.clone();
         bad[HEADER_BYTES + frame::SEGMENT_HEADER_BYTES] ^= 0x55;
-        let repair = e.decode_frame_repair(&bad).expect("ladder runs");
-        let salvage = e.decode_frame_salvage(&bad).expect("salvages");
+        let repair = repair(&e, &bad).expect("ladder runs");
+        let salvage = salvage(&e, &bad).expect("salvages");
         assert_eq!(repair, salvage);
         assert!(!repair.is_full_recovery());
     }
@@ -1152,7 +1124,7 @@ mod tests {
         let mut bad = frame_bytes.clone();
         bad[seg_payload_at(HEADER_BYTES_V3, payload_len, 0)] ^= 0x55;
         bad[data_end + frame::SEGMENT_HEADER_BYTES] ^= 0x55;
-        let report = e.decode_frame_repair(&bad).expect("ladder runs");
+        let report = repair(&e, &bad).expect("ladder runs");
         assert!(!report.is_full_recovery());
         assert_eq!(report.repaired_segments(), 0);
         let d = &report.damaged[0];
@@ -1184,7 +1156,7 @@ mod tests {
         let mut bad = frame_bytes.clone();
         bad[seg_payload_at(HEADER_BYTES_V3, payload_len, 0)] ^= 0x55;
         bad[seg_payload_at(HEADER_BYTES_V3, payload_len, 2)] ^= 0x55;
-        let report = e.decode_frame_repair(&bad).expect("repairs");
+        let report = repair(&e, &bad).expect("repairs");
         assert_eq!(report.trits, clean);
         assert!(report.is_full_recovery());
         assert_eq!(report.repaired_segments(), 2);
@@ -1198,7 +1170,7 @@ mod tests {
         // Strict decode ignores parity segments entirely.
         let strict = e.decode_frame(&frame_bytes).expect("strict decodes v3");
         assert_eq!(strict.len(), stream.len());
-        let report = e.decode_frame_repair(&frame_bytes).expect("repairs");
+        let report = repair(&e, &frame_bytes).expect("repairs");
         assert!(report.damaged.is_empty());
         assert!(report.is_full_recovery());
         assert_eq!(report.trits, strict);

@@ -21,9 +21,9 @@
 //! - [`stream`] — the [`stream::BitSink`] / [`stream::BitSource`]
 //!   abstractions the streaming codec reads and writes;
 //! - [`session`] — the unified [`session::DecodeSession`] builder entry
-//!   point for everything decode (the deprecated `decode*` free
-//!   functions it replaced were removed in 0.4.0 — see the README's
-//!   migration note);
+//!   point for everything decode, `9CSF` frames included
+//!   (`decode_frame(bytes, Policy)` walks the strict → repair → salvage
+//!   ladder over one [`FramePlan`]);
 //! - [`engine`] — the sharded multi-core codec engine: a vendored
 //!   work-stealing pool, the self-describing `9CSF` segment-frame
 //!   container, and parallel encode/decode that is byte-identical to the

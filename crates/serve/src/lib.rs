@@ -111,7 +111,7 @@ pub struct ServeConfig {
     /// unlimited `default` tenant always exists in addition.
     pub tenants: Vec<TenantConfig>,
     /// Path of a `9CA` archive to host for
-    /// [`Op::ArchiveRange`](wire::Op::ArchiveRange) random-access range
+    /// [`Op::ArchiveRange`] random-access range
     /// decodes. Opened (and its epoch index validated) at startup;
     /// `None` answers the verb with `BadRequest`.
     pub archive: Option<String>,

@@ -24,7 +24,7 @@
 //!    [`max_inflight`](ServeConfig::max_inflight) requests decode at
 //!    once; the rest refuse with [`Status::Busy`].
 //! 3. **Degradation** — when in-flight requests plus the executor's
-//!    [`active_jobs`](ninec::engine::active_jobs) tally reach
+//!    [`active_jobs`] tally reach
 //!    [`degrade_threshold`](ServeConfig::degrade_threshold), the server
 //!    sheds optional work instead of refusing: repair/salvage decodes
 //!    downgrade to strict-only (the cheap rung), the response carries

@@ -1,7 +1,7 @@
 //! Zero-copy subrange views over packed trit streams.
 //!
 //! [`TritSlice`] borrows the care/value bit-planes of a
-//! [`TritVec`](crate::trit::TritVec) and exposes word-parallel operations
+//! [`TritVec`] and exposes word-parallel operations
 //! (popcount-based counting, mask-based 9C half classification) over an
 //! arbitrary symbol subrange — without copying and without per-symbol enum
 //! dispatch. [`Chunks`] walks a stream in fixed-size slices so codec
@@ -47,9 +47,9 @@ pub struct TritSlice<'a> {
 }
 
 impl<'a> TritSlice<'a> {
-    /// Builds a view from raw packed planes (as exposed by
-    /// [`TritVec::care_words`](crate::trit::TritVec::care_words) /
-    /// [`TritVec::value_words`](crate::trit::TritVec::value_words)).
+    /// Builds a view from raw packed LSB-first planes (the layout
+    /// [`BitVec::words`](crate::bits::BitVec::words) exposes): `care`
+    /// marks the specified symbols and `value` their values.
     ///
     /// # Panics
     ///

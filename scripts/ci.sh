@@ -15,6 +15,15 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Public docs must build without a dangling or ambiguous intra-doc link.
+# Per-crate `cargo rustdoc` keeps the vendored crates' own warnings (a
+# `cargo doc --workspace` would document vendor/proptest too) out of scope.
+echo "==> cargo rustdoc -- -D warnings (every crates/* package)"
+for manifest in crates/*/Cargo.toml; do
+    pkg=$(sed -n 's/^name = "\(.*\)"$/\1/p' "$manifest" | head -n 1)
+    cargo rustdoc -q -p "$pkg" --lib -- -D warnings
+done
+
 # No unwrap() or expect() outside test code where input is untrusted: the
 # whole engine module (hostile frame bytes in frame/plan/reader/salvage,
 # panic isolation in pool/exec/cancel, GF(256) reconstruction in ecc,
